@@ -4,7 +4,7 @@ The paper's target machine is an x86_64 host whose MMU enforces
 inter-process isolation and, under AppendWrite-uarch, rejects ordinary
 writes to *appendable memory region* (AMR) pages (section 2.3.2).  This
 module provides the equivalent functional model: a sparse, word-granular
-memory with per-page protection bits, used by every simulated process.
+memory with page protections, used by every simulated process.
 
 Addresses are byte addresses, but storage is word-granular (8-byte words,
 matching the paper's 8-byte operation arguments).  This is sufficient for
@@ -14,6 +14,7 @@ every policy in the paper, all of which reason about pointer-sized values.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence
 
@@ -87,8 +88,40 @@ class Mapping:
     def end(self) -> int:
         return self.start + self.size
 
-    def contains(self, address: int) -> bool:
-        return self.start <= address < self.end
+
+def _drop_keys(table: Dict[int, int], lo: int, hi: int) -> None:
+    """Delete every key of ``table`` in ``[lo, hi)``."""
+    for key in [key for key in table if lo <= key < hi]:
+        del table[key]
+
+
+class _PageTable(dict):
+    """Page number -> protection bits, memoised lazily from the mappings.
+
+    The mappings (sorted by start) are the authority; entries are pages
+    already resolved or changed by ``mprotect``.  Only a miss bisects,
+    and only mapped pages are memoised.
+    """
+
+    __slots__ = ("starts", "mappings")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.starts: List[int] = []
+        self.mappings: List[Mapping] = []
+
+    def mapping_at(self, address: int) -> Optional[Mapping]:
+        i = bisect_right(self.starts, address) - 1
+        if i >= 0 and address < self.mappings[i].end:
+            return self.mappings[i]
+        return None
+
+    def __missing__(self, page: int) -> int:
+        mapping = self.mapping_at(page * PAGE_SIZE)
+        if mapping is None:
+            return PROT_NONE
+        prot = self[page] = mapping.prot
+        return prot
 
 
 class Memory:
@@ -102,8 +135,7 @@ class Memory:
 
     def __init__(self) -> None:
         self._words: Dict[int, int] = {}
-        self._page_prot: Dict[int, int] = {}
-        self._mappings: List[Mapping] = []
+        self._page_prot = _PageTable()
         #: Bumped on every protection change (map/unmap/mprotect) so
         #: callers that pre-validated a page range — the AppendWrite
         #: datapath — know when their validation went stale.
@@ -122,54 +154,56 @@ class Memory:
             raise ValueError(f"mapping start {start:#x} is not page-aligned")
         if size <= 0:
             raise ValueError("mapping size must be positive")
-        size = align_up(size)
-        new = Mapping(start, size, prot, name)
-        for existing in self._mappings:
+        new = Mapping(start, align_up(size), prot, name)
+        table = self._page_prot
+        i = bisect_right(table.starts, start)
+        # Sorted and disjoint: only the bisect neighbours can overlap.
+        for existing in table.mappings[max(i - 1, 0):i + 1]:
             if new.start < existing.end and existing.start < new.end:
                 raise ValueError(
                     f"mapping {name!r} at {start:#x} overlaps {existing.name!r}"
                 )
-        self._mappings.append(new)
-        for page in range(page_of(start), page_of(start + size - 1) + 1):
-            self._page_prot[page] = prot
+        table.starts.insert(i, start)
+        table.mappings.insert(i, new)
         self.prot_epoch += 1
         return new
 
     def unmap_region(self, start: int) -> None:
         """Remove the mapping that begins at ``start`` and clear its pages."""
-        for i, mapping in enumerate(self._mappings):
-            if mapping.start == start:
-                del self._mappings[i]
-                for page in range(page_of(start), page_of(mapping.end - 1) + 1):
-                    self._page_prot.pop(page, None)
-                    base = page * PAGE_SIZE
-                    for word in range(base, base + PAGE_SIZE, WORD_SIZE):
-                        self._words.pop(word, None)
-                self.prot_epoch += 1
-                return
-        raise ValueError(f"no mapping starts at {start:#x}")
+        table = self._page_prot
+        i = bisect_left(table.starts, start)
+        if i == len(table.starts) or table.starts[i] != start:
+            raise ValueError(f"no mapping starts at {start:#x}")
+        end = table.mappings[i].end
+        del table.starts[i], table.mappings[i]
+        _drop_keys(table, page_of(start), page_of(end))
+        _drop_keys(self._words, start, end)
+        self.prot_epoch += 1
 
     def protect_region(self, start: int, size: int, prot: int) -> None:
-        """Change protections on pages covering ``[start, start + size)``."""
-        for page in range(page_of(start), page_of(start + size - 1) + 1):
-            if page not in self._page_prot:
+        """Change protections on pages covering ``[start, start + size)``.
+
+        Atomic: an unmapped page in the range faults before any changes.
+        """
+        table = self._page_prot
+        pages = range(page_of(start), page_of(start + size - 1) + 1)
+        for page in pages:
+            if page not in table and table.mapping_at(page * PAGE_SIZE) is None:
                 raise SegmentationFault(page * PAGE_SIZE, "mprotect", "unmapped")
-            self._page_prot[page] = prot
+        table.update(dict.fromkeys(pages, prot))
         self.prot_epoch += 1
 
     def mapping_at(self, address: int) -> Optional[Mapping]:
         """Return the mapping containing ``address``, if any."""
-        for mapping in self._mappings:
-            if mapping.contains(address):
-                return mapping
-        return None
+        return self._page_prot.mapping_at(address)
 
     def mappings(self) -> Iterator[Mapping]:
-        return iter(self._mappings)
+        """The mappings in address order."""
+        return iter(self._page_prot.mappings)
 
     def prot_of(self, address: int) -> int:
         """Return protection bits of the page containing ``address``."""
-        return self._page_prot.get(page_of(address), PROT_NONE)
+        return self._page_prot[address // PAGE_SIZE]
 
     def span_is_amr(self, start: int, end: int) -> bool:
         """True iff every page of ``[start, end)`` is ``PROT_AMR``.
@@ -178,15 +212,14 @@ class Memory:
         :attr:`prot_epoch` instead of re-checking pages on every store.
         """
         page_prot = self._page_prot
-        return all(page_prot.get(page, PROT_NONE) & PROT_AMR
+        return all(page_prot[page] & PROT_AMR
                    for page in range(page_of(start), page_of(end - 1) + 1))
 
     # -- protected accessors (what program instructions use) ----------------
 
     def load(self, address: int) -> int:
         """Read the word at ``address`` subject to page protections."""
-        prot = self.prot_of(address)
-        if not prot & PROT_READ:
+        if not self._page_prot[address // PAGE_SIZE] & PROT_READ:
             raise SegmentationFault(address, "read", "page not readable")
         return self._words.get(align_word(address), 0)
 
@@ -196,7 +229,7 @@ class Memory:
         AMR pages reject ordinary stores — only :meth:`append_store`
         (the AppendWrite datapath) may write them.
         """
-        prot = self.prot_of(address)
+        prot = self._page_prot[address // PAGE_SIZE]
         if prot & PROT_AMR:
             raise AMRWriteFault(address)
         if not prot & PROT_WRITE:
@@ -210,15 +243,13 @@ class Memory:
         in the AMR" (section 3.1.2); any non-AMR target is rejected so a
         misconfigured AppendAddr cannot scribble on ordinary memory.
         """
-        prot = self.prot_of(address)
-        if not prot & PROT_AMR:
+        if not self._page_prot[address // PAGE_SIZE] & PROT_AMR:
             raise SegmentationFault(address, "append", "target is not an AMR page")
         self._words[align_word(address)] = value
 
     def fetch(self, address: int) -> int:
         """Instruction fetch: requires an executable page."""
-        prot = self.prot_of(address)
-        if not prot & PROT_EXEC:
+        if not self._page_prot[address // PAGE_SIZE] & PROT_EXEC:
             raise SegmentationFault(address, "exec", "page not executable")
         return self._words.get(align_word(address), 0)
 
@@ -263,7 +294,7 @@ class Memory:
         address = align_word(address)
         end = address + len(values) * WORD_SIZE
         for page in range(page_of(address), page_of(end - 1) + 1):
-            prot = self._page_prot.get(page, PROT_NONE)
+            prot = self._page_prot[page]
             if prot & PROT_AMR:
                 raise AMRWriteFault(page * PAGE_SIZE)
             if not prot & PROT_WRITE:
@@ -287,7 +318,7 @@ class Memory:
         end = address + len(values) * WORD_SIZE
         page_prot = self._page_prot
         for page in range(page_of(address), page_of(end - 1) + 1):
-            if not page_prot.get(page, PROT_NONE) & PROT_AMR:
+            if not page_prot[page] & PROT_AMR:
                 raise SegmentationFault(page * PAGE_SIZE, "append",
                                         "target is not an AMR page")
         words = self._words

@@ -194,6 +194,24 @@ class TestUArchFastPath:
         messages = decode_batch(channel.receive_words())
         assert [m.arg0 for m in messages] == [4]
 
+    def test_failed_mprotect_leaves_amr_and_fast_path_intact(self, process):
+        # An mprotect over a partly unmapped range faults without
+        # touching any page, so the datapath's cached "span is AMR"
+        # validation (same prot_epoch) stays true.
+        channel = create_channel("uarch", capacity=8)
+        memory = channel.memory
+        epoch = memory.prot_epoch
+        with pytest.raises(SegmentationFault) as fault:
+            memory.protect_region(channel.base, 2 * PAGE_SIZE,
+                                  PROT_READ | PROT_WRITE)
+        assert fault.value.address == channel.base + PAGE_SIZE
+        assert memory.prot_epoch == epoch
+        assert memory.prot_of(channel.base) == PROT_READ | PROT_AMR
+        with pytest.raises(AMRWriteFault):
+            memory.store(channel.base, 1)
+        channel.send_raw(process, int(Op.EVENT), 7, 0, 0)
+        assert [m.arg0 for m in decode_batch(channel.receive_words())] == [7]
+
 
 class TestUndecodableStreams:
     def _verifier_over(self, channel, pid):
