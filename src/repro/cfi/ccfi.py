@@ -29,9 +29,8 @@ import hashlib
 from typing import Dict, List
 
 from repro.compiler import ir
-from repro.compiler.analysis import store_defines_function_pointer
+from repro.compiler.analysis import DefUseIndex, load_needs_check, store_defines_function_pointer
 from repro.compiler.passes.base import ModulePass
-from repro.compiler.types import is_function_pointer
 from repro.sim.cpu import PolicyViolationError, Runtime
 
 #: AES-round MAC plus spill traffic from the reserved registers.
@@ -76,34 +75,26 @@ class CCFIPass(ModulePass):
                         block.insert_before(terminator, ir.RuntimeCall(
                             "ccfi_ret_check", []))
                 self.bump("ret-macs")
+            uses = DefUseIndex(function)
             for block in list(function.blocks):
                 for instruction in list(block.instructions):
                     if isinstance(instruction, ir.Store) and \
-                            store_defines_function_pointer(function, instruction):
+                            store_defines_function_pointer(uses, instruction):
                         pointee = instruction.value.type
                         block.insert_after(instruction, ir.RuntimeCall(
                             "ccfi_mac_store",
                             [instruction.pointer, instruction.value,
                              ir.Constant(_type_id(pointee))]))
                         self.bump("mac-stores")
+                    # A decayed load's MAC binds its *static* type: the
+                    # source of CCFI's type-mismatch FPs.
                     elif isinstance(instruction, ir.Load) and \
-                            self._load_is_checked(function, instruction):
+                            load_needs_check(uses, instruction):
                         block.insert_after(instruction, ir.RuntimeCall(
                             "ccfi_mac_check",
                             [instruction.pointer, instruction,
                              ir.Constant(_type_id(instruction.type))]))
                         self.bump("mac-checks")
-
-    @staticmethod
-    def _load_is_checked(function: ir.Function, load: ir.Load) -> bool:
-        """CCFI verifies on every load of a control-flow pointer; loads
-        whose value reaches an indirect call are checked even when the
-        static type has decayed (the MAC still binds the *static* type
-        at the load — the source of CCFI's type-mismatch FPs)."""
-        from repro.compiler.analysis import pointer_feeds_icall
-        if is_function_pointer(load.type):
-            return True
-        return pointer_feeds_icall(function, load)
 
     def _check_abi(self, module: ir.Module) -> None:
         """Reject programs needing more XMM argument registers than the

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.compiler import ir
-from repro.compiler.analysis import store_defines_function_pointer
+from repro.compiler.analysis import DefUseIndex, store_defines_function_pointer
 from repro.compiler.passes.base import ModulePass
 from repro.compiler.types import I64, is_function_pointer
 from repro.sim.cpu import Runtime
@@ -57,10 +57,11 @@ class CPIPass(ModulePass):
         for function in module.functions.values():
             if function.is_declaration:
                 continue
+            uses = DefUseIndex(function)
             for block in list(function.blocks):
                 for instruction in list(block.instructions):
                     if isinstance(instruction, ir.Store) and \
-                            store_defines_function_pointer(function, instruction):
+                            store_defines_function_pointer(uses, instruction):
                         if not _trackable(instruction.pointer):
                             # The missed-redirect bug: this store never
                             # reaches the safe store.
@@ -76,7 +77,12 @@ class CPIPass(ModulePass):
                             "cpi_load", [instruction.pointer], I64,
                             name=f"{instruction.name}.safe")
                         block.insert_after(instruction, safe_load)
-                        self._redirect_uses(function, instruction, safe_load)
+                        # Point indirect-call targets at the safe-store value.
+                        for user in uses.users(instruction):
+                            if isinstance(user, ir.ICall) and user.target is instruction:
+                                uses.remove(user)
+                                user.target = safe_load
+                                uses.add(user)
                         self.bump("loads-redirected")
             # realloc/free must move/drop safe-store entries; the fixed
             # version hooks them (the released prototype did not).
@@ -90,15 +96,6 @@ class CPIPass(ModulePass):
                     elif isinstance(instruction, ir.Free):
                         block.insert_before(instruction, ir.RuntimeCall(
                             "cpi_free_hook", [instruction.pointer]))
-
-    def _redirect_uses(self, function: ir.Function, load: ir.Load,
-                       safe_load: ir.RuntimeCall) -> None:
-        """Point indirect-call targets at the safe-store value."""
-        for instruction in function.instructions():
-            if instruction is safe_load:
-                continue
-            if isinstance(instruction, ir.ICall) and instruction.target is load:
-                instruction.target = safe_load
 
 
 class CPIRuntime(Runtime):

@@ -25,9 +25,8 @@ import hashlib
 from typing import Dict, List, Tuple
 
 from repro.compiler import ir
-from repro.compiler.analysis import store_defines_function_pointer
+from repro.compiler.analysis import DefUseIndex, load_needs_check, store_defines_function_pointer
 from repro.compiler.passes.base import ModulePass
-from repro.compiler.types import is_function_pointer
 from repro.sim.cpu import PolicyViolationError, Runtime
 
 #: PAC computation: one QARMA-like block-cipher invocation.
@@ -52,30 +51,23 @@ class PointerAuthPass(ModulePass):
         for function in module.functions.values():
             if function.is_declaration:
                 continue
+            uses = DefUseIndex(function)
             for block in list(function.blocks):
                 for instruction in list(block.instructions):
                     if isinstance(instruction, ir.Store) and \
-                            store_defines_function_pointer(function,
-                                                           instruction):
+                            store_defines_function_pointer(uses, instruction):
                         block.insert_after(instruction, ir.RuntimeCall(
                             "pa_sign",
                             [instruction.pointer, instruction.value,
                              ir.Constant(ZERO_DISCRIMINATOR)]))
                         self.bump("signs")
                     elif isinstance(instruction, ir.Load) and \
-                            self._checked(function, instruction):
+                            load_needs_check(uses, instruction):
                         block.insert_after(instruction, ir.RuntimeCall(
                             "pa_auth",
                             [instruction.pointer, instruction,
                              ir.Constant(ZERO_DISCRIMINATOR)]))
                         self.bump("auths")
-
-    @staticmethod
-    def _checked(function: ir.Function, load: ir.Load) -> bool:
-        from repro.compiler.analysis import pointer_feeds_icall
-        if is_function_pointer(load.type):
-            return True
-        return pointer_feeds_icall(function, load)
 
 
 class PointerAuthRuntime(Runtime):

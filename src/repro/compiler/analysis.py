@@ -18,7 +18,7 @@ Implements the paper's section 4.1.4 analyses:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.compiler import ir
 from repro.compiler.types import is_function_pointer, is_vtable_pointer
@@ -55,46 +55,89 @@ def is_function_pointer_value(value: ir.Value) -> bool:
     return False
 
 
-def uses_of(function: ir.Function, value: ir.Value) -> List[ir.Instruction]:
-    """All instructions in ``function`` using ``value`` as an operand."""
-    return [instruction for instruction in function.instructions()
-            if any(op is value for op in instruction.operands)]
+class DefUseIndex:
+    """The users of every value of one function, built in one scan.
+
+    Keyed by the values themselves (they hash by identity); users in block
+    order, each once (:meth:`add` and RAUW append).  Lives for one pass's
+    walk over one function: the IR has no mutation hooks to keep a cache exact.
+    """
+
+    def __init__(self, function: ir.Function) -> None:
+        self.function = function
+        self._users: Dict[ir.Value, Dict[ir.Instruction, None]] = {}
+        users_of_operand = self._users.setdefault
+        for block in function.blocks:
+            for instruction in block.instructions:
+                for operand in instruction.operands:
+                    users_of_operand(operand, {})[instruction] = None
+
+    def users(self, value: ir.Value) -> List[ir.Instruction]:
+        return list(self._users.get(value, ()))
+
+    def add(self, instruction: ir.Instruction) -> None:
+        for operand in instruction.operands:
+            self._users.setdefault(operand, {})[instruction] = None
+
+    def remove(self, instruction: ir.Instruction) -> None:
+        for operand in instruction.operands:
+            self._users.get(operand, {}).pop(instruction, None)
+
+    def replace_all_uses(self, old: ir.Value, new: ir.Value) -> None:
+        """RAUW: rewrite every user of ``old`` to use ``new``."""
+        users = self._users.pop(old, {})
+        for user in users:
+            user.replace_operand(old, new)
+        self._users.setdefault(new, {}).update(users)
 
 
-def value_recast_to_function_pointer(function: ir.Function, value: ir.Value) -> bool:
+def uses_of(function: ir.Function, value: ir.Value,
+            index: Optional[DefUseIndex] = None) -> List[ir.Instruction]:
+    """Users of ``value`` in ``function``, from the walk's ``index`` if given."""
+    return (index or DefUseIndex(function)).users(value)
+
+
+def value_recast_to_function_pointer(index: DefUseIndex, value: ir.Value) -> bool:
     """Detection rule 2: some *other* use of ``value`` casts it to a
     function-pointer type, implying the slot may hold code addresses."""
-    for use in uses_of(function, value):
+    for use in uses_of(index.function, value, index):
         if isinstance(use, ir.Cast) and is_function_pointer(use.type):
             return True
     return False
 
 
-def store_defines_function_pointer(function: ir.Function, store: ir.Store) -> bool:
+def store_defines_function_pointer(index: DefUseIndex, store: ir.Store) -> bool:
     """Whether a store writes a (possibly laundered) function pointer."""
     if is_function_pointer_value(store.value):
         return True
-    return value_recast_to_function_pointer(function, store.value)
+    return value_recast_to_function_pointer(index, store.value)
 
 
-def pointer_feeds_icall(function: ir.Function, value: ir.Value) -> bool:
-    """Whether ``value`` (a loaded pointer) reaches an indirect call.
-
-    Follows forward through casts/φ/selects.
-    """
-    worklist = [value]
-    seen: Set[int] = set()
+def pointer_feeds_icall(index: DefUseIndex, value: ir.Value) -> bool:
+    """Whether ``value`` reaches an indirect call through casts/φ/selects."""
+    worklist, seen = [value], {value}
     while worklist:
         current = worklist.pop()
-        if id(current) in seen:
-            continue
-        seen.add(id(current))
-        for use in uses_of(function, current):
+        for use in uses_of(index.function, current, index):
             if isinstance(use, ir.ICall) and use.target is current:
                 return True
-            if isinstance(use, (ir.Cast, ir.Phi, ir.Select)):
+            if isinstance(use, (ir.Cast, ir.Phi, ir.Select)) and use not in seen:
+                seen.add(use)
                 worklist.append(use)
     return False
+
+
+def load_needs_check(index: DefUseIndex, load: ir.Load) -> bool:
+    """Whether a loaded value may be an icall target: always for function-pointer
+    types (it may escape to a call we cannot see), else if it reaches one."""
+    return is_function_pointer(load.type) or pointer_feeds_icall(index, load)
+
+
+def alloca_root(pointer: ir.Value) -> Optional[ir.Alloca]:
+    """The alloca ``pointer`` addresses through geps and casts, if any."""
+    while isinstance(pointer, (ir.Gep, ir.Cast)):
+        pointer = pointer.pointer if isinstance(pointer, ir.Gep) else pointer.value
+    return pointer if isinstance(pointer, ir.Alloca) else None
 
 
 class EscapeAnalysis:
@@ -103,53 +146,44 @@ class EscapeAnalysis:
     A slot *escapes* if its address is passed to any call, stored into
     memory, returned, or flows into a value that does any of those.  The
     paper notes its escape analysis "is more precise than the built-in
-    fast-but-conservative alias analysis"; ours is a straightforward
-    flow-insensitive propagation, which is still far more precise than
-    assuming everything aliases.
+    fast-but-conservative alias analysis"; ours walks each slot forward
+    through its cast/gep/φ/select users (flow-insensitive), so a pointer
+    derived from several slots (``select(c, &a, &b)``) charges them all.
     """
 
-    def __init__(self, function: ir.Function) -> None:
+    def __init__(self, function: ir.Function,
+                 index: Optional[DefUseIndex] = None) -> None:
         self.function = function
-        self.escaped: Set[ir.Instruction] = set()
-        self._compute()
+        index = index or DefUseIndex(function)
+        self.escaped: Set[ir.Instruction] = {
+            value for value in index._users
+            if isinstance(value, ir.Alloca) and self._address_escapes(index, value)}
 
-    def _compute(self) -> None:
-        aliases: Dict[int, ir.Instruction] = {}
-        for instruction in self.function.instructions():
-            if isinstance(instruction, ir.Alloca):
-                aliases[id(instruction)] = instruction
-        changed = True
-        while changed:
-            changed = False
-            for instruction in self.function.instructions():
-                if isinstance(instruction, (ir.Cast, ir.Gep, ir.Phi, ir.Select)):
-                    for operand in instruction.operands:
-                        root = aliases.get(id(operand))
-                        if root is not None and id(instruction) not in aliases:
-                            aliases[id(instruction)] = root
-                            changed = True
-        for instruction in self.function.instructions():
-            # RuntimeCall is deliberately excluded: instrumentation
-            # passes slots to the trusted runtime, which neither
-            # retains nor writes through them — counting those as
-            # escapes would defeat the very optimizations that prune
-            # instrumentation.
-            if isinstance(instruction, (ir.Call, ir.ICall)):
-                for arg in instruction.args:
-                    self._mark(aliases, arg)
-            elif isinstance(instruction, ir.Store):
-                # Storing the *address* (not storing through it) escapes.
-                self._mark(aliases, instruction.value)
-            elif isinstance(instruction, ir.Ret) and instruction.value is not None:
-                self._mark(aliases, instruction.value)
-            elif isinstance(instruction, (ir.MemCopy, ir.MemSet)):
-                for operand in instruction.operands:
-                    self._mark(aliases, operand)
-
-    def _mark(self, aliases: Dict[int, ir.Instruction], value: ir.Value) -> None:
-        root = aliases.get(id(value))
-        if root is not None:
-            self.escaped.add(root)
+    @staticmethod
+    def _address_escapes(index: DefUseIndex, alloca: ir.Alloca) -> bool:
+        derived, worklist = {alloca}, [alloca]
+        while worklist:
+            current = worklist.pop()
+            for use in index.users(current):
+                # RuntimeCall is deliberately excluded: instrumentation
+                # passes slots to the trusted runtime, which neither
+                # retains nor writes through them — counting those as
+                # escapes would defeat the very optimizations that prune
+                # instrumentation.
+                if isinstance(use, (ir.Call, ir.ICall)):
+                    if any(arg is current for arg in use.args):
+                        return True
+                elif isinstance(use, ir.Store):
+                    # Storing the *address* (not storing through it) escapes.
+                    if use.value is current:
+                        return True
+                elif isinstance(use, (ir.Ret, ir.MemCopy, ir.MemSet)):
+                    return True
+                elif isinstance(use, (ir.Cast, ir.Gep, ir.Phi, ir.Select)) \
+                        and use not in derived:
+                    derived.add(use)
+                    worklist.append(use)
+        return False
 
     def may_escape(self, alloca: ir.Instruction) -> bool:
         """Whether the slot's address may be visible outside the function."""

@@ -60,6 +60,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.compiler import ir
 from repro.compiler.analysis import (
+    DefUseIndex,
     EscapeAnalysis,
     address_taken_functions,
     store_defines_function_pointer,
@@ -118,7 +119,8 @@ class _FunctionAuditor:
         self.function = function
         self.dom = DominatorTree(function)
         self.pdom = PostDominatorTree(function)
-        self.escape = EscapeAnalysis(function)
+        self.uses = DefUseIndex(function)
+        self.escape = EscapeAnalysis(function, self.uses)
         self._positions: Dict[int, int] = {}
         for block in function.blocks:
             for index, instruction in enumerate(block.instructions):
@@ -238,8 +240,7 @@ class _FunctionAuditor:
             for index, instruction in enumerate(block.instructions):
                 if not isinstance(instruction, ir.Store):
                     continue
-                if not store_defines_function_pointer(self.function,
-                                                      instruction):
+                if not store_defines_function_pointer(self.uses, instruction):
                     continue
                 counts["total"] += 1
                 status = self._define_status(block, index, instruction)

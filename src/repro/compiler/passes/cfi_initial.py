@@ -25,10 +25,10 @@ from __future__ import annotations
 from typing import Set
 
 from repro.compiler import ir
-from repro.compiler.analysis import (pointer_feeds_icall,
+from repro.compiler.analysis import (DefUseIndex, alloca_root, load_needs_check,
                                      store_defines_function_pointer)
 from repro.compiler.passes.base import ModulePass
-from repro.compiler.types import I64, is_function_pointer
+from repro.compiler.types import I64
 
 
 class CFIInitialLoweringPass(ModulePass):
@@ -44,19 +44,21 @@ class CFIInitialLoweringPass(ModulePass):
 
     def _run_on_function(self, function: ir.Function) -> None:
         protected_allocas: Set[ir.Alloca] = set()
+        # Inserted runtime calls never match a query's cast/φ/select/icall filter.
+        uses = DefUseIndex(function)
         for block in list(function.blocks):
             for instruction in list(block.instructions):
                 if isinstance(instruction, ir.Store):
-                    if store_defines_function_pointer(function, instruction):
+                    if store_defines_function_pointer(uses, instruction):
                         block.insert_after(instruction, ir.RuntimeCall(
                             "hq_pointer_define",
                             [instruction.pointer, instruction.value]))
                         self.bump("defines")
-                        root = self._alloca_root(instruction.pointer)
+                        root = alloca_root(instruction.pointer)
                         if root is not None:
                             protected_allocas.add(root)
                 elif isinstance(instruction, ir.Load):
-                    if self._load_needs_check(function, instruction):
+                    if load_needs_check(uses, instruction):
                         check = ir.RuntimeCall(
                             "hq_pointer_check",
                             [instruction.pointer, instruction])
@@ -74,21 +76,6 @@ class CFIInitialLoweringPass(ModulePass):
 
         if protected_allocas:
             self._invalidate_on_exit(function, protected_allocas)
-
-    def _load_needs_check(self, function: ir.Function, load: ir.Load) -> bool:
-        """Whether the loaded value is (or may become) an icall target."""
-        if is_function_pointer(load.type):
-            # Loads of declared function-pointer type are always checked:
-            # the value may escape to a call we cannot see locally.
-            return True
-        return pointer_feeds_icall(function, load)
-
-    def _alloca_root(self, pointer: ir.Value) -> ir.Alloca:
-        """The alloca ultimately addressed by ``pointer``, if any."""
-        current = pointer
-        while isinstance(current, (ir.Gep, ir.Cast)):
-            current = current.pointer if isinstance(current, ir.Gep) else current.value
-        return current if isinstance(current, ir.Alloca) else None
 
     def _invalidate_on_exit(self, function: ir.Function,
                             allocas: Set[ir.Alloca]) -> None:

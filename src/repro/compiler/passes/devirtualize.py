@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Optional, Set
 
 from repro.compiler import ir
+from repro.compiler.analysis import DefUseIndex
 from repro.compiler.passes.base import ModulePass
 
 
@@ -31,13 +32,14 @@ class DevirtualizationPass(ModulePass):
 
     def run(self, module: ir.Module) -> None:
         for function in module.functions.values():
+            uses = DefUseIndex(function)
             for block in list(function.blocks):
                 for instruction in list(block.instructions):
                     if isinstance(instruction, ir.ICall):
-                        self._try_devirtualize(module, block, instruction)
+                        self._try_devirtualize(module, uses, block, instruction)
 
-    def _try_devirtualize(self, module: ir.Module, block: ir.BasicBlock,
-                          icall: ir.ICall) -> None:
+    def _try_devirtualize(self, module: ir.Module, uses: DefUseIndex,
+                          block: ir.BasicBlock, icall: ir.ICall) -> None:
         target = self._unique_target(module, icall)
         if target is None:
             return
@@ -45,9 +47,9 @@ class DevirtualizationPass(ModulePass):
         index = block.instructions.index(icall)
         block.instructions[index] = call
         call.block = block
-        # Rewrite uses of the icall's result.
-        for user in module.all_instructions():
-            user.replace_operand(icall, call)
+        uses.remove(icall)
+        uses.add(call)
+        uses.replace_all_uses(icall, call)
         self.bump("calls-devirtualized")
 
     def _unique_target(self, module: ir.Module,

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.compiler import ir
+from repro.compiler.analysis import DefUseIndex
 from repro.compiler.passes.base import ModulePass
 
 #: Default ceiling on inlinable callee size, in instructions.
@@ -128,6 +129,7 @@ class InlinerPass(ModulePass):
         return True
 
     def _run_on_function(self, function: ir.Function) -> None:
+        uses = DefUseIndex(function)
         changed = True
         while changed:
             changed = False
@@ -135,14 +137,14 @@ class InlinerPass(ModulePass):
                 for instruction in list(block.instructions):
                     if isinstance(instruction, ir.Call) and \
                             self._inlinable(function, instruction.callee):
-                        self._inline_site(function, block, instruction)
+                        self._inline_site(uses, block, instruction)
                         self.bump("calls-inlined")
                         changed = True
                         break
                 if changed:
                     break
 
-    def _inline_site(self, function: ir.Function, block: ir.BasicBlock,
+    def _inline_site(self, uses: DefUseIndex, block: ir.BasicBlock,
                      call: ir.Call) -> None:
         callee = call.callee
         mapping: Dict[int, ir.Value] = {
@@ -163,11 +165,11 @@ class InlinerPass(ModulePass):
 
         index = block.instructions.index(call)
         block.remove(call)
+        uses.remove(call)
         for offset, clone in enumerate(clones):
             block.insert(index + offset, clone)
+            uses.add(clone)
 
         # Rewire uses of the call's result.
-        replacement = (return_value if return_value is not None
-                       else ir.Constant(0))
-        for user in function.instructions():
-            user.replace_operand(call, replacement)
+        uses.replace_all_uses(call, return_value if return_value is not None
+                              else ir.Constant(0))

@@ -24,10 +24,10 @@ recursion; section 4.1.4 notes no guard fails across all benchmarks).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.compiler import ir
-from repro.compiler.analysis import EscapeAnalysis
+from repro.compiler.analysis import EscapeAnalysis, alloca_root
 from repro.compiler.cfg import DominatorTree
 from repro.compiler.dataflow import may_clobber_memory, slot_key
 from repro.compiler.passes.base import ModulePass
@@ -68,7 +68,7 @@ class StoreToLoadForwardingPass(ModulePass):
                     key = _slot_key(instruction.pointer)
                     if key is None:
                         continue
-                    root = self._root_alloca(instruction.pointer)
+                    root = alloca_root(instruction.pointer)
                     if root is not None and escape.may_escape(root):
                         continue
                     defs.setdefault(key, []).append(instruction)
@@ -89,12 +89,6 @@ class StoreToLoadForwardingPass(ModulePass):
                        for store in defs[key]):
                     block.remove(instruction)
                     self.bump("checks-forwarded")
-
-    def _root_alloca(self, pointer: ir.Value) -> Optional[ir.Alloca]:
-        current = pointer
-        while isinstance(current, (ir.Gep, ir.Cast)):
-            current = current.pointer if isinstance(current, ir.Gep) else current.value
-        return current if isinstance(current, ir.Alloca) else None
 
     def _forwardable(self, dom: DominatorTree, function: ir.Function,
                      store: ir.Store, load: ir.Load) -> bool:
