@@ -81,17 +81,18 @@ def _walk(path: str) -> List[str]:
     return found
 
 
+def source_lines(relpath: str = "") -> int:
+    """:func:`count_source_lines` summed over a file or directory of
+    the ``repro`` package (the whole package by default)."""
+    package_root = os.path.dirname(os.path.abspath(repro.__file__))
+    return sum(count_source_lines(path)
+               for path in _walk(os.path.join(package_root, relpath)))
+
+
 def table6() -> Dict[str, int]:
     """Lines of code per paper component, measured on this repo."""
-    package_root = os.path.dirname(os.path.abspath(repro.__file__))
-    counts = {}
-    for component, relpaths in COMPONENT_MODULES.items():
-        total = 0
-        for relpath in relpaths:
-            for path in _walk(os.path.join(package_root, relpath)):
-                total += count_source_lines(path)
-        counts[component] = total
-    return counts
+    return {component: sum(source_lines(relpath) for relpath in relpaths)
+            for component, relpaths in COMPONENT_MODULES.items()}
 
 
 def format_table6(counts: Dict[str, int]) -> str:

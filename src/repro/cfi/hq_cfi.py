@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.core.messages import Message, Op
+from repro.core.messages import Op
 from repro.core.policy import Handler, Policy, Violation
 from repro.cfi.pointer_table import PointerTable
 
@@ -30,41 +30,6 @@ class HQCFIPolicy(Policy):
         self.defines = 0
         self.use_after_free_hits = 0
         self._handlers: Optional[Dict[int, Handler]] = None
-
-    def handle(self, message: Message) -> Optional[Violation]:
-        op = message.op
-        if op is Op.POINTER_DEFINE:
-            self.defines += 1
-            self.table.define(message.arg0, message.arg1)
-            return None
-        if op is Op.POINTER_CHECK:
-            self.checks += 1
-            error = self.table.check(message.arg0, message.arg1)
-            return self._violation(message, error)
-        if op is Op.POINTER_CHECK_INVALIDATE:
-            self.checks += 1
-            error = self.table.check_invalidate(message.arg0, message.arg1)
-            return self._violation(message, error)
-        if op is Op.POINTER_INVALIDATE:
-            self.table.invalidate(message.arg0)
-            return None
-        if op is Op.POINTER_BLOCK_COPY:
-            self.table.block_copy(message.arg0, message.arg1, message.aux)
-            return None
-        if op is Op.POINTER_BLOCK_MOVE:
-            self.table.block_move(message.arg0, message.arg1, message.aux)
-            return None
-        if op is Op.POINTER_BLOCK_INVALIDATE:
-            self.table.block_invalidate(message.arg0, message.aux)
-            return None
-        return None
-
-    def _violation(self, message: Message, error: Optional[str]) -> Optional[Violation]:
-        if error is None:
-            return None
-        if "use-after-free" in error:
-            self.use_after_free_hits += 1
-        return Violation(message.pid, "cfi-pointer-integrity", error, message)
 
     def handlers(self) -> Dict[int, Handler]:
         """Per-op dispatch table with inlined define/check fast paths.

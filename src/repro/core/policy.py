@@ -38,11 +38,23 @@ class Policy:
     name = "null"
 
     def handle(self, message: Message) -> Optional[Violation]:
-        """Process one message; return a violation if the check failed."""
-        return None
+        """Process one message; return a violation if the check failed.
 
-    def handlers(self) -> Optional[Dict[int, Handler]]:
-        """Per-op dispatch table for the verifier's batched word path.
+        Runs the :meth:`handlers` entry for the message's op — the same
+        code the verifier dispatches — and stamps the sender pid and the
+        message on any violation, as the verifier does.
+        """
+        handler = self.handlers().get(int(message.op))
+        if handler is None:
+            return None
+        violation = handler(message.arg0, message.arg1, message.aux)
+        if violation is not None:
+            violation.pid = message.pid
+            violation.message = message
+        return violation
+
+    def handlers(self) -> Dict[int, Handler]:
+        """Per-op dispatch table: the one definition of the policy.
 
         Contract: the returned dict maps ``int(op)`` to a callable
         taking the message payload ``(arg0, arg1, aux)`` and returning
@@ -54,12 +66,8 @@ class Policy:
         and lazily materializes the message.  Handlers are bound
         closures over live policy state, so the table must be built
         per-instance (never shared across :meth:`clone` children).
-
-        Returning None (the default) keeps the policy on the legacy
-        adapter: the verifier materializes a
-        :class:`~repro.core.messages.Message` and calls :meth:`handle`.
         """
-        return None
+        return {}
 
     def clone(self) -> "Policy":
         """Deep-copy the policy context for a forked child (section 3.4)."""
@@ -90,13 +98,3 @@ class PolicyStats:
     violations: int = 0
     max_entries: int = 0
     by_op: dict = field(default_factory=dict)
-
-    def record(self, message: Message, entry_count: int,
-               violated: bool) -> None:
-        self.messages_processed += 1
-        op_name = message.op.name
-        self.by_op[op_name] = self.by_op.get(op_name, 0) + 1
-        if violated:
-            self.violations += 1
-        if entry_count > self.max_entries:
-            self.max_entries = entry_count

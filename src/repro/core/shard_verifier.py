@@ -80,7 +80,7 @@ class ShardEngine:
     """One shard: a ring plus the verifier that drains it (inline mode).
 
     ``overflow`` buffers word batches that arrive while the ring is
-    full — the coordinator's equivalent of :class:`Verifier`'s message
+    full — the coordinator's equivalent of :class:`Verifier`'s word
     backlog.  Overflow is refilled into the ring *after* the ring's own
     content so per-pid order is preserved.
     """

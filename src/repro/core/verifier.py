@@ -16,10 +16,10 @@ by the framework to model background draining.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, List, Optional
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence
 
-from repro.core.messages import (MESSAGE_WORDS, Message, MessageDecodeError,
-                                 Op, OP_BY_VALUE, OP_NAMES, decode_batch)
+from repro.core.messages import (MESSAGE_WORDS, Message, Op, OP_BY_VALUE,
+                                 OP_NAMES)
 from repro.core.policy import Policy, PolicyStats, Violation
 from repro.ipc.base import Channel, ChannelIntegrityError
 
@@ -55,10 +55,10 @@ class Verifier:
         self._syscall_tokens: Dict[int, int] = {}
         self.integrity_failures: List[str] = []
         self.terminated = False
-        #: Messages drained from channels but not yet dispatched — only
-        #: populated when :meth:`poll` runs with a processing limit
-        #: (modelling a slow verifier under backpressure).
-        self._backlog: Deque[Message] = deque()
+        #: Word batches drained from channels but not yet dispatched —
+        #: only populated when :meth:`poll` runs with a processing
+        #: limit (modelling a slow verifier under backpressure).
+        self._backlog: Deque[Sequence[int]] = deque()
         #: Times :meth:`restart` recovered this verifier after a crash.
         self.restarts = 0
         #: Epoch-based GC of per-pid reporting state.  ``None`` (the
@@ -189,72 +189,62 @@ class Verifier:
     # -- the main loop --------------------------------------------------------------
 
     def poll(self, max_messages: Optional[int] = None) -> int:
-        """Drain all channels and process pending messages.
+        """Drain all channels and dispatch pending messages.
 
         Returns the number of messages processed.  A transport
         integrity failure (dropped/tampered messages) is treated as a
         violation for every process on that channel.
 
-        ``max_messages`` bounds the processing work of this time slice
-        (a slow or overloaded verifier): channels are still drained —
-        receive is cheap, policy evaluation is the bottleneck — but
-        undispatched messages queue in an internal backlog, in order,
-        and are processed by later polls.  Syscall tokens therefore
-        arrive late under backpressure, which is exactly what the
-        kernel's bounded epoch absorbs (section 2.2).
+        Every message goes through :meth:`_dispatch_words`, bounded or
+        not.  ``max_messages`` bounds the processing work of this time
+        slice (a slow or overloaded verifier): channels are still
+        drained — receive is cheap, policy evaluation is the bottleneck
+        — but undispatched word batches queue in an internal backlog,
+        in order, and are dispatched by later polls.  Syscall tokens
+        therefore arrive late under backpressure, which is exactly what
+        the kernel's bounded epoch absorbs (section 2.2).
         """
         if self.terminated:
             return 0
         obs = self.observer
         poll_start = obs.now() if obs is not None else 0.0
+        backlog = self._backlog
         processed = 0
-
-        def budget_left() -> bool:
-            return max_messages is None or processed < max_messages
-
-        # Work down the backlog from earlier limited polls first so
+        # Work down the backlog from earlier bounded polls first so
         # per-pid message order is preserved.
-        while self._backlog and budget_left():
-            self._dispatch(self._backlog.popleft())
-            processed += 1
+        while backlog and (max_messages is None
+                           or processed < max_messages):
+            processed += self._dispatch_words(
+                backlog.popleft(),
+                None if max_messages is None else max_messages - processed)
         for channel in self.channels:
             try:
                 words = channel.receive_words()
             except ChannelIntegrityError as error:
                 self._integrity_violation(str(error))
                 continue
-            if obs is not None and words:
+            if not words:
+                continue
+            if obs is not None:
                 # The receive boundary sees every transport — wrapped
                 # or not — so IPC batch metrics are emitted here.
                 obs.ipc_batch(len(words) // MESSAGE_WORDS)
-            if max_messages is None:
-                # Unbounded poll (the common case): the backlog is
-                # already empty, so the batch dispatches straight off
-                # the word stream with no Message materialization.
-                processed += self._dispatch_words(words)
+            if backlog or (max_messages is not None
+                           and processed >= max_messages):
+                if not self._truncated(words):
+                    backlog.append(words)
                 continue
-            # Bounded poll (a slow verifier under backpressure):
-            # materialize so the overflow can queue in the backlog.
-            try:
-                messages = decode_batch(words)
-            except MessageDecodeError as error:
-                self._integrity_violation(
-                    f"undecodable message stream: {error}")
-                continue
-            for message in messages:
-                if budget_left():
-                    self._dispatch(message)
-                    processed += 1
-                else:
-                    self._backlog.append(message)
+            processed += self._dispatch_words(
+                words,
+                None if max_messages is None else max_messages - processed)
         if obs is not None:
             obs.verifier_poll_event(processed, poll_start)
-            obs.note_backlog(len(self._backlog))
+            obs.note_backlog(self.backlog_size())
         return processed
 
     def backlog_size(self) -> int:
         """Messages drained but not yet dispatched (backpressure)."""
-        return len(self._backlog)
+        return sum(map(len, self._backlog)) // MESSAGE_WORDS
 
     def _integrity_violation(self, detail: str) -> None:
         """Transport integrity failure: violation for every live pid."""
@@ -265,21 +255,37 @@ class Verifier:
             self._record_violation(Violation(pid, "message-integrity",
                                              detail))
 
-    def _dispatch_words(self, words) -> int:
-        """Dispatch one packed word batch without materializing messages.
+    def _truncated(self, words) -> bool:
+        """Receive-time framing check: a partial trailing message must
+        not be silently skipped (nor crash the verifier) — it is
+        transport corruption, and the whole batch is refused."""
+        n = len(words)
+        if n & 3:
+            self._integrity_violation(
+                f"undecodable message stream: truncated message stream: "
+                f"{n} words is not a multiple of 4")
+            return True
+        return False
+
+    def _dispatch_words(self, words, budget: Optional[int] = None) -> int:
+        """Dispatch one packed word batch: the verifier's only route.
 
         Consecutive same-pid runs share the per-pid lookups (context,
         dispatch table, stats) — channel streams are single-writer, so
         one resolution usually covers the whole batch.  Per message the
         hot path is: opcode probe, handler call with the raw payload,
         inline stats update.  ``Message`` objects exist only when a
-        policy has no dispatch table (legacy adapter) or a violation
-        needs its evidence attached.
+        violation needs its evidence attached.
+
+        ``budget`` (None: unbounded) caps the messages dispatched; the
+        rest of the batch goes to the *front* of the backlog, ahead of
+        anything queued later, for the next poll.
 
         An opcode the wire codec does not know is message-integrity
-        evidence: the batch is abandoned and every live pid is marked
-        violated (fail closed), exactly as if the transport had
-        reported the corruption itself.
+        evidence: the valid prefix has already been dispatched in
+        order, every live pid is marked violated (fail closed), exactly
+        as if the transport had reported the corruption itself, and the
+        rest of the batch is dropped.
 
         The per-message stats (processed count, entry high-water mark)
         accumulate in run-local variables and flush into
@@ -287,14 +293,9 @@ class Verifier:
         can observe the stats (a violation record, an integrity abort,
         returning) — final stats are identical to per-message updates.
         """
-        n = len(words)
-        if n & 3:
-            # A partial trailing message must not be silently skipped
-            # (nor crash the verifier): it is transport corruption.
-            self._integrity_violation(
-                f"undecodable message stream: truncated message stream: "
-                f"{n} words is not a multiple of 4")
+        if self._truncated(words):
             return 0
+        limit = len(words) if budget is None else budget
         op_names = OP_NAMES
         op_by_value = OP_BY_VALUE
         contexts = self.contexts
@@ -309,11 +310,14 @@ class Verifier:
         sized = None
         run_mp = 0        # messages processed since the last flush
         run_max = -1      # entry-count high-water mark since the flush
-        processed = 0     # only maintained for the abort path
+        processed = 0     # index of the current message
         # One C-level iterator per word column: no index arithmetic or
         # bounds checks in the loop body.
         for w0, arg0, arg1, w3 in zip(words[0::4], words[1::4],
                                       words[2::4], words[3::4]):
+            if processed == limit:
+                self._backlog.appendleft(words[processed * MESSAGE_WORDS:])
+                break
             pid = w0 >> 32
             if pid != current_pid:
                 if run_mp:
@@ -368,32 +372,22 @@ class Verifier:
                 continue
             aux = w3 & _MASK32
             malformed = False
-            if handlers is not None:
-                handler = handlers.get(op)
-                if handler is not None:
-                    try:
-                        violation = handler(arg0, arg1, aux)
-                    except Exception as error:
-                        violation = Violation(
-                            pid, "malformed-message",
-                            f"policy {getattr(context, 'name', '?')} "
-                            f"raised {error!r} while handling "
-                            f"{op_by_value[op]!r} (fail closed)")
-                        malformed = True
-                else:
-                    violation = None
-            else:
-                message = Message(op_by_value[op], arg0, arg1, aux, pid,
-                                  w3 >> 32)
+            handler = handlers.get(op)
+            if handler is not None:
                 try:
-                    violation = context.handle(message)
+                    violation = handler(arg0, arg1, aux)
                 except Exception as error:
+                    # A message the policy cannot even parse (corrupted
+                    # in transit, or crafted) must not crash the
+                    # verifier: a violation of the sender — fail closed.
                     violation = Violation(
                         pid, "malformed-message",
-                        f"policy {getattr(context, 'name', '?')} raised "
-                        f"{error!r} while handling {message.op!r} "
-                        f"(fail closed)")
+                        f"policy {getattr(context, 'name', '?')} "
+                        f"raised {error!r} while handling "
+                        f"{op_by_value[op]!r} (fail closed)")
                     malformed = True
+            else:
+                violation = None
             run_mp += 1
             try:
                 by_op[name] += 1
@@ -426,39 +420,6 @@ class Verifier:
         if obs is not None and runs:
             obs.verifier_dispatch_runs.value += runs
         return processed
-
-    def _dispatch(self, message: Message) -> None:
-        pid = message.pid
-        if message.op is Op.SYSCALL:
-            # All outstanding messages from this pid have been processed
-            # (channel ordering): hand the kernel a resume token.
-            self._syscall_tokens[pid] = self._syscall_tokens.get(pid, 0) + 1
-            if pid in self.stats:
-                self.stats[pid].record(message, self._entries(pid), False)
-            return
-        context = self.contexts.get(pid)
-        if context is None:
-            # Message from an unregistered pid: ignore (cannot happen
-            # with kernel-arbitrated channels; kept for robustness).
-            return
-        try:
-            violation = context.handle(message)
-        except Exception as error:
-            # A message the policy cannot even parse (corrupted in
-            # transit, or crafted) must not crash the verifier: treat it
-            # as a violation of the sending process — fail closed.
-            violation = Violation(
-                pid, "malformed-message",
-                f"policy {getattr(context, 'name', '?')} raised "
-                f"{error!r} while handling {message.op!r} (fail closed)")
-        self.stats[pid].record(message, self._entries(pid),
-                               violation is not None)
-        if violation is not None:
-            self._record_violation(violation)
-
-    def _entries(self, pid: int) -> int:
-        context = self.contexts.get(pid)
-        return context.entry_count() if context is not None else 0
 
     def _record_violation(self, violation: Violation) -> None:
         if self.observer is not None:
@@ -541,8 +502,8 @@ class Verifier:
         for channel in self.channels:
             for message in channel.resync():
                 lost.add(message.pid)
-        for message in self._backlog:
-            lost.add(message.pid)
+        for words in self._backlog:
+            lost.update(w0 >> 32 for w0 in words[0::MESSAGE_WORDS])
         self._backlog.clear()
         self.terminated = False
         self.restarts += 1

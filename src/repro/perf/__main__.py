@@ -70,6 +70,10 @@ def _build_profile(args: argparse.Namespace
         raise SystemExit("no metrics found: pass --report PATH (a bench "
                          "report or profile) or run from a repo root "
                          "with committed BENCH_*.json snapshots")
+    from repro.bench.table6 import source_lines
+    # Informational: non-comment source lines of the package.
+    metrics["code.sloc"] = Metric(float(source_lines()), unit="lines",
+                                  direction=profile_mod.LOWER)
     env = profile_mod.environment(commit=args.commit, quick=args.quick)
     prof = profile_mod.new_profile(metrics, env=env)
     prof["sources"] = {source: {"format": "report"} for source in raw}

@@ -43,7 +43,12 @@ TOLERANCES: Tuple[Tuple[str, Optional[float]], ...] = (
     ("traffic.wall_s", None),
     ("traffic.", 0.50),
     ("pipeline.", None),
+    ("code.", None),
 )
+
+#: Families that are reported but never run through the history
+#: detectors either: source size is not performance.
+REPORT_ONLY: Tuple[str, ...] = ("code.",)
 
 #: Tolerance for families not named above.
 DEFAULT_TOLERANCE = 0.30
@@ -152,6 +157,8 @@ def check_history(current: Mapping[str, Metric],
                   current_commit: str = "worktree") -> None:
     """Detector pass over history + the current point per metric."""
     for name in sorted(current):
+        if name.startswith(REPORT_ONLY):
+            continue
         metric = current[name]
         points = store.trajectory(history, name, quick=quick)
         points.append(Point(commit=current_commit, value=metric.value,

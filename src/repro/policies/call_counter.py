@@ -20,7 +20,7 @@ from typing import Optional
 
 from repro.compiler import ir
 from repro.compiler.passes.base import ModulePass
-from repro.core.messages import Message, Op
+from repro.core.messages import Op
 from repro.core.policy import Policy, Violation
 
 #: Event kinds carried in ``EVENT`` messages.
@@ -52,16 +52,6 @@ class CallCounterPolicy(Policy):
         self.count = 0
         self.limit = limit
         self._handlers = None
-
-    def handle(self, message: Message) -> Optional[Violation]:
-        if message.op is not Op.EVENT or message.arg0 != EVENT_CALL:
-            return None
-        self.count += message.arg1
-        if self.limit is not None and self.count > self.limit:
-            return Violation(message.pid, "call-counter",
-                             f"call count {self.count} exceeds limit "
-                             f"{self.limit}", message)
-        return None
 
     def handlers(self) -> dict:
         if self._handlers is None:

@@ -31,7 +31,7 @@ from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.compiler import ir
 from repro.compiler.passes.base import ModulePass
-from repro.core.messages import Message, Op
+from repro.core.messages import Op
 from repro.core.policy import Policy, Violation
 
 #: EVENT kinds.
@@ -59,31 +59,6 @@ class DFIPolicy(Policy):
         self.last_writer: Dict[int, int] = {}
         self.checks = 0
         self._handlers = None
-
-    def handle(self, message: Message) -> Optional[Violation]:
-        if message.op is not Op.EVENT:
-            return None
-        kind = message.arg0
-        if kind == DFI_STORE:
-            self.last_writer[message.arg1] = message.aux
-            return None
-        if kind == DFI_BLOCK_STORE:
-            address, size, def_id = message.arg1, message.aux >> 16, \
-                message.aux & 0xFFFF
-            for offset in range(0, size, 8):
-                self.last_writer[address + offset] = def_id
-            return None
-        if kind == DFI_CHECK:
-            self.checks += 1
-            address, set_id = message.arg1, message.aux
-            writer = self.last_writer.get(address, DEF_INITIAL)
-            allowed = self.reaching_sets.get(set_id, frozenset())
-            if writer not in allowed:
-                return Violation(
-                    message.pid, "dfi",
-                    f"load at {address:#x} saw definition {writer}, "
-                    f"allowed set {set_id} is {sorted(allowed)}", message)
-        return None
 
     def handlers(self) -> dict:
         if self._handlers is not None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.core.messages import Message, Op
+from repro.core.messages import Op
 from repro.core.policy import Policy, Violation
 
 
@@ -96,34 +96,6 @@ class MemorySafetyPolicy(Policy):
         self.allocations = AllocationMap()
         self.checks = 0
         self._handlers = None
-
-    def handle(self, message: Message) -> Optional[Violation]:
-        op = message.op
-        error: Optional[str] = None
-        if op is Op.ALLOCATION_CREATE:
-            error = self.allocations.create(message.arg0, message.arg1)
-        elif op is Op.ALLOCATION_CHECK:
-            self.checks += 1
-            if self.allocations.containing(message.arg0) is None:
-                error = (f"access at {message.arg0:#x} is out-of-bounds "
-                         f"or use-after-free")
-        elif op is Op.ALLOCATION_CHECK_BASE:
-            self.checks += 1
-            first = self.allocations.containing(message.arg0)
-            second = self.allocations.containing(message.arg1)
-            if first is None or second is None or first != second:
-                error = (f"addresses {message.arg0:#x} and {message.arg1:#x} "
-                         f"are not within the same live allocation")
-        elif op is Op.ALLOCATION_EXTEND:
-            error = self.allocations.extend(message.arg0, message.arg1,
-                                            message.aux)
-        elif op is Op.ALLOCATION_DESTROY:
-            error = self.allocations.destroy(message.arg0)
-        elif op is Op.ALLOCATION_DESTROY_ALL:
-            error = self.allocations.destroy_all(message.arg0, message.aux)
-        if error is None:
-            return None
-        return Violation(message.pid, "memory-safety", error, message)
 
     def handlers(self) -> dict:
         if self._handlers is not None:

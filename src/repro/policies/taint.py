@@ -24,7 +24,7 @@ from typing import Optional, Set
 
 from repro.compiler import ir
 from repro.compiler.passes.base import ModulePass
-from repro.core.messages import Message, Op
+from repro.core.messages import Op
 from repro.core.policy import Policy, Violation
 
 #: Event kinds carried in ``EVENT`` messages.
@@ -45,29 +45,6 @@ class TaintPolicy(Policy):
         self.tainted: Set[int] = set()
         self.sink_checks = 0
         self._handlers = None
-
-    def handle(self, message: Message) -> Optional[Violation]:
-        if message.op is Op.POINTER_BLOCK_COPY:
-            # Copies propagate taint (shared message vocabulary).
-            src, dst, size = message.arg0, message.arg1, message.aux
-            carried = [a for a in self.tainted if src <= a < src + size]
-            for address in carried:
-                self.tainted.add(dst + (address - src))
-            return None
-        if message.op is not Op.EVENT:
-            return None
-        kind, address = message.arg0, message.arg1
-        if kind == TAINT_SOURCE:
-            self.tainted.add(address)
-        elif kind == TAINT_CLEAR:
-            self.tainted.discard(address)
-        elif kind == TAINT_SINK:
-            self.sink_checks += 1
-            if address in self.tainted:
-                return Violation(message.pid, "taint",
-                                 f"tainted value at {address:#x} reached "
-                                 f"a security-sensitive sink", message)
-        return None
 
     def handlers(self) -> dict:
         if self._handlers is not None:

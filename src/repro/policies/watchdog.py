@@ -14,7 +14,7 @@ from typing import Optional
 
 from repro.compiler import ir
 from repro.compiler.passes.base import ModulePass
-from repro.core.messages import Message, Op
+from repro.core.messages import Op
 from repro.core.policy import Policy, Violation
 
 #: Event kind carried in ``EVENT`` messages.
@@ -61,18 +61,6 @@ class WatchdogPolicy(Policy):
         self.last_sequence = 0
         self.beats = 0
         self._handlers = None
-
-    def handle(self, message: Message) -> Optional[Violation]:
-        if message.op is not Op.EVENT or message.arg0 != EVENT_HEARTBEAT:
-            return None
-        self.beats += 1
-        sequence = message.arg1
-        if sequence <= self.last_sequence:
-            return Violation(message.pid, "watchdog",
-                             f"non-monotonic heartbeat {sequence} after "
-                             f"{self.last_sequence} (replay?)", message)
-        self.last_sequence = sequence
-        return None
 
     def handlers(self) -> dict:
         if self._handlers is None:

@@ -1,42 +1,39 @@
-"""Property test: the packed word path and the legacy Message path
-produce identical verifier decisions.
+"""Property test: every verifier dispatch route agrees with the
+reference models.
 
-Three production dispatch paths exist for the same wire stream:
+The verifier has one dispatch route, ``Verifier._dispatch_words``, and
+each policy one definition, its ``handlers()`` table.  The routes that
+reach it differ in how the work is sliced:
 
-* **words** — ``Verifier.poll()`` unbounded: batched
-  ``_dispatch_words`` with per-op handler tables;
-* **bounded** — ``Verifier.poll(max_messages=...)``: materialized
-  ``Message`` objects through the legacy ``_dispatch``;
-* **adapter** — ``_dispatch_words`` with a policy whose ``handlers()``
-  returns None, forcing the per-message ``handle`` adapter.
+* **unbounded** — ``Verifier.poll()`` dispatches each batch as it
+  arrives;
+* **bounded** — ``Verifier.poll(max_messages=B)`` for B in 1, 7, 192
+  queues what the budget leaves over and dispatches it in later polls;
+* **sharded** — a 2-shard ``ShardedVerifier`` routes per-pid runs to
+  shard rings and drains them.
 
-For any stream, all three must agree on violations (kind, detail),
-:class:`PolicyStats`, syscall tokens, and the policy's end
-state — that is the refactor's core safety contract.
+For any stream — including batches with an unknown opcode or a
+truncated tail — all routes must agree with each other and with the
+legacy per-message ``handle`` bodies kept in
+:mod:`tests.policy_reference` on violations (kind, detail),
+:class:`PolicyStats`, syscall tokens, integrity failures and the
+policy's end state.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cfi.hq_cfi import HQCFIPolicy
+from repro.bench.sharding import pack_stream
 from repro.core.messages import Op
+from repro.core.shard_verifier import ShardedVerifier, resolve_policy
 from repro.core.verifier import Verifier
-from repro.ipc.registry import create_channel
-from repro.policies.call_counter import CallCounterPolicy
-from repro.policies.dfi import DFIPolicy
-from repro.policies.memory_safety import MemorySafetyPolicy
-from repro.policies.taint import TaintPolicy
-from repro.policies.watchdog import WatchdogPolicy
-from repro.sim.process import Process
+from tests.policy_reference import REFERENCE_FACTORIES, reference_run
+from tests.test_sharding import _StubChannel
 
-POLICY_FACTORIES = {
-    "hq-cfi": HQCFIPolicy,
-    "memory-safety": MemorySafetyPolicy,
-    "call-counter": CallCounterPolicy,
-    "dfi": lambda: DFIPolicy({1: frozenset({0, 5})}),
-    "taint": TaintPolicy,
-    "watchdog": WatchdogPolicy,
-}
+PID = 7
+
+#: An opcode the wire codec does not know.
+_UNKNOWN_OP = 0xBEEF
 
 #: Small pools so defines/checks (and stores/loads, sources/sinks)
 #: collide often enough to exercise both accept and violate branches.
@@ -56,80 +53,108 @@ _EVENTS = st.one_of(
 )
 
 
-def _run(policy_name, events, mode):
-    """Feed ``events`` through one dispatch path; snapshot the verdicts."""
-    factory = POLICY_FACTORIES[policy_name]
-    if mode == "adapter":
-        base_factory = factory
+@st.composite
+def _batches(draw, policy_ops):
+    """Packed word batches of one event stream.  Some events repeat an
+    earlier payload under one of the policy's own ops (define then
+    check-invalidate the same pointer, store then check the same slot);
+    a few batches carry an unknown opcode or lose their last word in
+    transit."""
+    events = draw(st.lists(_EVENTS, min_size=16, max_size=60))
+    for i in range(1, len(events)):
+        if draw(st.booleans()):
+            _, arg0, arg1, aux = events[
+                draw(st.integers(min_value=0, max_value=i - 1))]
+            op = draw(st.sampled_from(policy_ops))
+            if op == int(Op.EVENT):
+                arg0 = draw(_KINDS)
+            events[i] = (op, arg0, arg1, aux)
+    cuts = sorted(draw(st.lists(st.integers(min_value=1,
+                                            max_value=max(len(events), 1)),
+                                max_size=6)))
+    batches = []
+    for start, end in zip([0] + cuts, cuts + [len(events)]):
+        chunk = events[start:end]
+        if not chunk:
+            continue
+        fault = draw(st.sampled_from(["clean"] * 6
+                                     + ["unknown-opcode", "truncated"]))
+        if fault == "unknown-opcode":
+            at = draw(st.integers(min_value=0, max_value=len(chunk)))
+            chunk = chunk[:at] + [(_UNKNOWN_OP, 0, 0, 0)] + chunk[at:]
+        words = pack_stream(PID, chunk)
+        if fault == "truncated":
+            words = words[:-1]
+        batches.append(words)
+    return batches
 
-        def factory():
-            policy = base_factory()
-            policy.handlers = lambda: None
-            return policy
 
-    verifier = Verifier(factory)
-    channel = create_channel("uarch", capacity=1 << 12)
-    verifier.attach_channel(channel)
-    process = Process(name=f"equiv-{policy_name}")
-    verifier.register_process(process.pid)
-    for op, arg0, arg1, aux in events:
-        channel.send_raw(process, op, arg0, arg1, aux)
-        if channel.pending() >= 1024:
-            verifier.poll(max_messages=10 ** 9 if mode == "bounded"
-                          else None)
-    verifier.poll(max_messages=10 ** 9 if mode == "bounded" else None)
-    pid = process.pid
-    stats = verifier.stats[pid]
-    context = verifier.contexts[pid]
+def _snapshot(liaison):
+    stats = liaison.stats[PID]
     return {
-        # pid is excluded: each _run allocates a fresh Process, so pids
-        # differ across otherwise-identical runs by construction.
-        "violations": [(v.kind, v.detail)
-                       for v in verifier.all_violations(pid)],
+        "violations": [(v.kind, v.detail) for v in liaison.violations[PID]],
         "stats": (stats.messages_processed, stats.violations,
-                  stats.max_entries, dict(stats.by_op)),
-        "tokens": verifier._syscall_tokens.get(pid, 0),
-        "entries": context.entry_count(),
-        "integrity": list(verifier.integrity_failures),
+                  stats.max_entries, stats.by_op),
+        "tokens": liaison._syscall_tokens.get(PID, 0),
+        "entries": liaison.contexts[PID].entry_count(),
+        "integrity": list(liaison.integrity_failures),
     }
 
 
-@pytest.mark.parametrize("policy_name", sorted(POLICY_FACTORIES))
-@settings(max_examples=25, deadline=None)
-@given(events=st.lists(_EVENTS, min_size=0, max_size=60))
-def test_word_path_matches_legacy_paths(policy_name, events):
-    words = _run(policy_name, events, "words")
-    bounded = _run(policy_name, events, "bounded")
-    adapter = _run(policy_name, events, "adapter")
-    assert words == bounded
-    assert words == adapter
+def _unordered(snapshot):
+    """Bounded and sharded routes may record an integrity failure at a
+    different point relative to other verdicts (a truncated batch is
+    refused on receipt, a shard's on the poll's end): compare those as
+    multisets."""
+    return dict(snapshot, violations=sorted(snapshot["violations"]),
+                integrity=sorted(snapshot["integrity"]))
 
 
-class TestDesignLevelEquivalence:
-    """Full run_program equivalence for both CFI variants.
+def _run_route(policy_name, batches, budget=None, shards=None):
+    """Feed ``batches`` through one route; snapshot the verdicts."""
+    factory = resolve_policy(policy_name)
+    liaison = (Verifier(factory) if shards is None
+               else ShardedVerifier(factory, shards))
+    channel = _StubChannel()
+    liaison.attach_channel(channel)
+    liaison.register_process(PID)
+    try:
+        for words in batches:
+            channel.push(words)
+            liaison.poll(budget)
+        while liaison.backlog_size():
+            liaison.poll(budget)
+        return _snapshot(liaison)
+    finally:
+        if shards is not None:
+            liaison.close()
 
-    The legacy path is forced by disabling the dispatch tables, so the
-    whole pipeline (compiler passes, runtime, kernel, verifier) runs
-    against the per-message adapter; outcomes must be identical.
-    """
 
-    @pytest.mark.parametrize("design", ["hq-sfestk", "hq-retptr"])
-    def test_run_results_identical(self, design, monkeypatch):
-        from repro.core.framework import run_program
-        from repro.workloads.generator import build_module
-        from repro.workloads.profiles import get_profile
+def _run_reference(policy_name, batches):
+    policy = REFERENCE_FACTORIES[policy_name]()
+    violations, stats, tokens, integrity = reference_run(policy, PID,
+                                                         batches)
+    return {
+        "violations": [(v.kind, v.detail) for v in violations],
+        "stats": (stats.messages_processed, stats.violations,
+                  stats.max_entries, stats.by_op),
+        "tokens": tokens,
+        "entries": policy.entry_count(),
+        "integrity": integrity,
+    }
 
-        def execute():
-            module = build_module(get_profile("471.omnetpp"),
-                                  dataset="train")
-            result = run_program(module, design=design, channel="uarch",
-                                 kill_on_violation=False)
-            return (result.outcome, result.exit_status, result.output,
-                    result.messages_sent, result.max_entries,
-                    result.steps,
-                    [(v.kind, v.detail) for v in result.violations])
 
-        fast = execute()
-        monkeypatch.setattr(HQCFIPolicy, "handlers", lambda self: None)
-        legacy = execute()
-        assert fast == legacy
+@pytest.mark.parametrize("policy_name", sorted(REFERENCE_FACTORIES))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_word_path_matches_legacy_paths(policy_name, data):
+    policy_ops = sorted(resolve_policy(policy_name)().handlers())
+    batches = data.draw(_batches(policy_ops))
+    reference = _run_reference(policy_name, batches)
+    assert _run_route(policy_name, batches) == reference
+    unordered = _unordered(reference)
+    for budget in (1, 7, 192):
+        assert _unordered(_run_route(policy_name, batches,
+                                     budget=budget)) == unordered
+    assert _unordered(_run_route(policy_name, batches,
+                                 shards=2)) == unordered

@@ -58,6 +58,9 @@ class TestTolerancePolicy:
         assert gate.tolerance_for("pipeline.phase:table4.seconds") \
             is None
 
+    def test_source_size_is_informational(self):
+        assert gate.tolerance_for("code.sloc") is None
+
     def test_unknown_family_gets_default(self):
         assert gate.tolerance_for("novel.metric") \
             == gate.DEFAULT_TOLERANCE
@@ -206,6 +209,20 @@ class TestHistoryGate:
                            store.entries(hist), result, quick=False)
         assert result.ok
 
+    def test_growing_source_size_never_fails(self, tmp_path):
+        hist = str(tmp_path / "hist")
+        value = 10000.0
+        for i in range(6):
+            store.record(make_profile(value, f"{i:04d}beefcafe",
+                                      metric="code.sloc", rounds=1,
+                                      unit="lines"), hist)
+            value *= 1.10
+        result = gate.GateResult()
+        gate.check_history({"code.sloc": Metric(value, "lines",
+                                                direction=LOWER)},
+                           store.entries(hist), result, quick=False)
+        assert result.ok and not result.verdicts
+
     def test_mode_mismatch_is_ignored(self, tmp_path):
         """A quick gate never judges against full-size history."""
         hist, next_value = bleed_history(tmp_path, quick=False)
@@ -281,6 +298,8 @@ class TestCli:
         assert rc == 0
         emitted = profile.load(str(out_profile))
         assert "bench.rate" in emitted["metrics"]
+        sloc = profile.metrics_of(emitted)["code.sloc"]
+        assert sloc.value > 0 and sloc.direction == LOWER
         text = summary.read_text()
         assert "| metric |" in text
         assert "`bench.rate`" in text

@@ -117,9 +117,13 @@ class TestHQCFIPolicy:
     def test_corruption_detected(self):
         policy = HQCFIPolicy()
         policy.handle(msg.pointer_define(0x10, 0x20))
-        violation = policy.handle(msg.pointer_check(0x10, 0x666))
+        check = msg.pointer_check(0x10, 0x666).with_transport(42, 7)
+        violation = policy.handle(check)
         assert isinstance(violation, Violation)
         assert violation.kind == "cfi-pointer-integrity"
+        # handle() stamps the evidence as the verifier does.
+        assert violation.pid == 42
+        assert violation.message is check
 
     def test_use_after_free_detected_and_counted(self):
         policy = HQCFIPolicy()

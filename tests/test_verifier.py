@@ -1,12 +1,19 @@
 """Tests for the verifier process model (repro.core.verifier)."""
 
+from collections import Counter
+
 import pytest
 
+from repro.bench.sharding import pack_stream
 from repro.cfi.hq_cfi import HQCFIPolicy
 from repro.core import messages as msg
+from repro.core.messages import Op
+from repro.core.policy import PolicyStats
+from repro.core.shard_verifier import ShardedVerifier
 from repro.core.verifier import Verifier
 from repro.ipc.appendwrite import AppendWriteFPGA, AppendWriteUArch
 from repro.sim.process import Process
+from tests.test_sharding import _StubChannel
 
 
 @pytest.fixture
@@ -125,6 +132,76 @@ class TestSyscallTokens:
         assert verifier.consume_syscall_token(process.pid)
         context = verifier.contexts[process.pid]
         assert context.table.check(0x10, 0x20) is None
+
+
+class TestCorruptBatch:
+    """A batch with an unknown opcode dispatches its valid prefix, then
+    fails closed — identically for every runtime and every budget."""
+
+    @pytest.mark.parametrize("budget", [None, 1, 2, 10 ** 9])
+    @pytest.mark.parametrize("kind", ["verifier", "sharded"])
+    def test_valid_prefix_dispatched_under_any_budget(self, kind, budget):
+        pid = 21
+        liaison = (Verifier(HQCFIPolicy) if kind == "verifier"
+                   else ShardedVerifier(HQCFIPolicy, 2))
+        channel = _StubChannel()
+        liaison.attach_channel(channel)
+        liaison.register_process(pid)
+        channel.push(pack_stream(pid, [
+            (int(Op.POINTER_DEFINE), 0x10, 0x20, 0),
+            (int(Op.POINTER_CHECK), 0x10, 0x666, 0),
+            (int(Op.SYSCALL), 0, 0, 0),
+            (0xBEEF, 0, 0, 0),
+        ]))
+        try:
+            processed = liaison.poll(budget)
+            while liaison.backlog_size():
+                processed += liaison.poll(budget)
+            kinds = Counter(v.kind for v in liaison.all_violations(pid))
+            assert kinds == Counter(["cfi-pointer-integrity",
+                                     "message-integrity"])
+            assert processed == 3
+            assert liaison.stats[pid] == PolicyStats(
+                messages_processed=3, violations=1, max_entries=1,
+                by_op={"POINTER_DEFINE": 1, "POINTER_CHECK": 1,
+                       "SYSCALL": 1})
+            assert liaison._syscall_tokens[pid] == 1
+        finally:
+            if kind == "sharded":
+                liaison.close()
+
+
+class TestRestartWithBacklog:
+    def test_condemns_exactly_live_pids_with_backlogged_messages(self):
+        verifier = Verifier(HQCFIPolicy)
+        channel = _StubChannel()
+        verifier.attach_channel(channel)
+        for pid in (1, 2, 3, 4):
+            verifier.register_process(pid)
+        define = (int(Op.POINTER_DEFINE), 0x10, 0x20, 0)
+        # Pid 1's first message is dispatched; the rest of the batch
+        # (pid 1's second message, pid 2, pid 4) and the whole second
+        # batch (pid 3) wait in the backlog.
+        channel.push(pack_stream(1, [define, define])
+                     + pack_stream(2, [define])
+                     + pack_stream(4, [define]))
+        assert verifier.poll(1) == 1
+        channel.push(pack_stream(3, [define]))
+        assert verifier.poll(0) == 0
+        assert verifier.backlog_size() == 4
+        verifier.unregister_process(4)  # exited between crash and restart
+
+        killed = verifier.restart(live_pids=[1, 2, 3, 5])
+
+        assert killed == [1, 2, 3]
+        assert verifier.backlog_size() == 0
+        for pid in (1, 2, 3):
+            assert [v.kind for v in verifier.all_violations(pid)] == \
+                ["verifier-restart"]
+            assert verifier.has_violation(pid)
+        assert not verifier.all_violations(5)
+        assert not verifier.has_violation(5)
+        assert not verifier.all_violations(4)
 
 
 class TestIntegrity:
