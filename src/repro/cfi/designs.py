@@ -20,6 +20,7 @@ name               design
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -62,6 +63,13 @@ class DesignConfig:
             fp_precision_loss=self.fp_precision_loss,
             register_pressure_factor=self.register_pressure_factor,
         )
+        # Interpreter-tier escape hatch: REPRO_INTERP_TIER=closure forces
+        # the fused-closure path everywhere (the default is the register-VM
+        # compile tier with exact deopt).  An explicit ``interp_tier``
+        # override, applied below, wins over the environment.
+        tier_env = os.environ.get("REPRO_INTERP_TIER")
+        if tier_env:
+            options.interp_tier = tier_env
         for key, value in overrides.items():
             setattr(options, key, value)
         return options

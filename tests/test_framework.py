@@ -239,3 +239,44 @@ class TestAbortedRunResourceRelease:
         result = run_program(fnptr_program(), design="hq-sfestk",
                              channel="model")
         assert result.ok
+
+
+class TestAMRExhaustion:
+    """A tiny AMR fills many times per run.  The kernel handler wired by
+    ``run_program`` drains the verifier and rewinds the registers, so
+    the verdict is the same as with the default capacity."""
+
+    @staticmethod
+    def run(profile, capacity):
+        from repro.workloads.generator import build_module
+        from repro.workloads.profiles import get_profile
+        return run_program(
+            build_module(get_profile(profile)), channel="uarch",
+            channel_kwargs=None if capacity is None
+            else {"capacity": capacity},
+            observe=True)
+
+    @pytest.mark.parametrize("profile", ["453.povray", "403.gcc"])
+    def test_small_amr_gives_same_verdict(self, profile, monkeypatch):
+        from repro.ipc.appendwrite import AppendWriteUArch
+        reference = self.run(profile, None)
+        counters = reference.obs_report["metrics"]["counters"]
+        assert counters["ipc.amr_faults"] == 0
+        # The channel's own fallback recovery must never run: the kernel
+        # handler has to make room on every fault.
+        fallbacks = []
+        monkeypatch.setattr(AppendWriteUArch, "_drain_to_staging",
+                            lambda channel: fallbacks.append(channel))
+        for capacity in (4, 1):
+            result = self.run(profile, capacity)
+            assert result.outcome == reference.outcome
+            assert result.violations == reference.violations
+            assert result.output == reference.output
+            assert result.messages_sent == reference.messages_sent
+            assert result.steps == reference.steps
+            faulted = result.obs_report["metrics"]["counters"]
+            assert faulted["ipc.amr_faults"] > 0
+            # Every message still reaches the verifier.
+            assert faulted["ipc.messages_received"] == \
+                counters["ipc.messages_received"]
+        assert fallbacks == []

@@ -5,6 +5,7 @@ import pytest
 from repro.compiler import ir
 from repro.compiler.builder import IRBuilder
 from repro.compiler.types import ArrayType, I64, StructType, func, ptr
+from repro.core.framework import run_program
 from repro.sim.cpu import (
     ExecOptions,
     ExecutionLimitExceeded,
@@ -418,3 +419,57 @@ class TestSafeStackLayouts:
                 safe_stack=True, aslr=True, seed=seed))
             bases.add(interpreter.safe_stack_base)
         assert len(bases) > 1
+
+
+class _Mystery(ir.Instruction):
+    """An instruction class the interpreter does not know."""
+
+    opname = "mystery"
+
+
+class _TracedBinOp(ir.BinOp):
+    """A subclass of a known class: it must not run as a plain BinOp."""
+
+
+def write_then(instruction):
+    """``main``: write 77, then ``instruction``, then return 0."""
+    module, mainf, b = simple_main()
+    b.syscall(SYS_WRITE, [b.const(1), b.const(77), b.const(8)])
+    b.block.append(instruction)
+    b.ret(b.const(0))
+    module.verify()
+    return module
+
+
+@pytest.mark.parametrize("tier", ["vm", "closure"])
+class TestUnknownInstructions:
+    """An instruction class the decoder does not know decodes fine and
+    crashes when it executes, in both tiers."""
+
+    def run(self, module, tier):
+        return run_program(module, design="baseline",
+                           exec_option_overrides={"interp_tier": tier})
+
+    def test_unknown_class_crashes(self, tier):
+        result = self.run(write_then(_Mystery()), tier)
+        assert result.outcome == "crash"
+        assert result.detail == "unknown instruction mystery"
+        assert result.output == [77]
+
+    def test_subclass_of_known_class_crashes(self, tier):
+        traced = _TracedBinOp("add", IRBuilder.const(1), IRBuilder.const(2))
+        result = self.run(write_then(traced), tier)
+        assert result.outcome == "crash"
+        assert result.detail == "unknown instruction binop"
+        assert result.output == [77]
+
+    def test_malformed_field_gep_raises_at_execution(self, tier):
+        record = StructType("Pair", [("a", I64), ("b", I64)])
+        gep = ir.Gep(IRBuilder.const(0x1000, ptr(record)), field="a")
+        gep.field = "missing"
+        module = write_then(gep)
+        interpreter = Interpreter(Image(module, Process()),
+                                  options=ExecOptions(interp_tier=tier))
+        with pytest.raises(KeyError, match="no field 'missing'"):
+            interpreter.run("main")
+        assert interpreter.output == [77]

@@ -69,6 +69,20 @@ class TestSessionBasics:
         assert session.total_messages() >= sum(r.messages_sent
                                                for r in results)
 
+    def test_interp_tier_env_reaches_sessions(self, monkeypatch):
+        monkeypatch.setenv("REPRO_INTERP_TIER", "closure")
+        session = HQSession()
+        program = session.register(small_clean_program())
+        result = session.run(program)
+        assert result.ok and result.exit_status == 10
+        assert program.interpreter.options.interp_tier == "closure"
+        assert program.interpreter.compiled_functions == 0
+
+    def test_explicit_interp_tier_beats_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_INTERP_TIER", "closure")
+        options = HQSession().config.exec_options(interp_tier="vm")
+        assert options.interp_tier == "vm"
+
     def test_per_program_channels(self):
         session = HQSession()
         a = session.register(small_clean_program("a"))
