@@ -270,8 +270,7 @@ def run_case(workload: str, channel: str, fault: FaultKind,
         output_len=output_len, messages_sent=messages,
         verifier_polls=faulty_verifier.polls if faulty_verifier else 0,
         verifier_crashes=faulty_verifier.crashes if faulty_verifier else 0,
-        verifier_restarts=(faulty_verifier.restarts_granted
-                           if faulty_verifier else 0),
+        verifier_restarts=faulty_verifier.restarts if faulty_verifier else 0,
         injected_full=faulty_channel.injected_full if faulty_channel else 0,
         delay_episodes=faulty_channel.delay_episodes if faulty_channel else 0,
         shard_crashes=(faulty_verifier.shard_crashes

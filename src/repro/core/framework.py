@@ -29,10 +29,7 @@ from repro.compiler import ir
 from repro.compiler.passes.base import PassManager
 from repro.core.policy import Policy, Violation
 from repro.core.runtime import HQRuntime
-from repro.core.verifier import Verifier
-from repro.ipc.appendwrite import AppendWriteUArch
-from repro.ipc.base import Channel
-from repro.ipc.registry import create_channel
+from repro.core.stack import MonitoredStack
 from repro.sim.cpu import (
     ExecutionLimitExceeded,
     Interpreter,
@@ -41,7 +38,7 @@ from repro.sim.cpu import (
     ProgramCrash,
 )
 from repro.sim.cycles import AccountingMode
-from repro.sim.kernel import HQKernelModule, Kernel
+from repro.sim.kernel import Kernel
 from repro.sim.loader import Image
 from repro.sim.memory import SegmentationFault
 from repro.sim.process import HeapError, Process
@@ -100,25 +97,6 @@ class RunResult:
                 + float(buckets["syscall"]) + float(buckets["wait"]))
 
 
-def _wire_channel(kind: str, verifier, **kwargs) -> Channel:
-    """Create the message channel with kernel-style full handling.
-
-    Every primitive gets a drain hook: a full buffer triggers a
-    verifier drain so the sender can retry instead of failing outright.
-    The AMR variant additionally rewinds its address registers once the
-    region has been fully read (section 2.3.2).
-    """
-    channel = create_channel(kind, **kwargs)
-    if isinstance(channel, AppendWriteUArch):
-        def _kernel_amr_handler(ch: AppendWriteUArch) -> None:
-            verifier.poll()
-            ch.reset_registers()
-        channel._on_full = _kernel_amr_handler
-    else:
-        channel._on_full = lambda ch: verifier.poll()
-    return channel
-
-
 def run_program(module: ir.Module,
                 design: str = "hq-sfestk",
                 channel: str = "model",
@@ -156,8 +134,9 @@ def run_program(module: ir.Module,
     ``fault_injector`` (a :class:`repro.faults.FaultInjector` or
     anything with the same ``wrap_verifier`` / ``wrap_channel`` /
     ``configure_kernel`` surface) interposes deterministic faults on
-    the verifier, the message channel, and the kernel epoch timer —
-    the chaos harness uses it to prove the fail-closed invariant.
+    the verifier, the message channel, and the kernel module (epoch
+    timer, restart budget) — the chaos harness uses it to prove the
+    fail-closed invariant.
 
     ``observe`` enables the observability layer: pass ``True`` for a
     fresh :class:`repro.obs.Observer` or an existing instance to reuse
@@ -208,130 +187,83 @@ def run_program(module: ir.Module,
         # Timestamps derive from this process's cycle totals: monotonic
         # sim time, deterministic across same-seed runs.
         observer.bind_clock(process)
-    kernel = Kernel()
-    ring_probes = []  # (shard_id, RingProbe) when race_check is on
-    try:
-        return _wire_and_execute(
-            config, module, design, channel, entry, entry_args,
-            policy_factory, kill_on_violation, sync_exempt_syscalls,
-            max_steps, aslr, seed, inlined_runtime, channel_kwargs,
-            exec_option_overrides, pre_run, naive_synchronization,
-            fault_injector, observer, shards, race_check,
-            process, kernel, pass_stats, ring_probes)
-    finally:
-        # Release OS resources even when an exception unwinds mid-run
-        # (SPSC rings hold real /dev/shm segments; an aborted sharded
-        # run must not leak them).  ``_wire_and_execute`` parks the
-        # wired components on the kernel so they are reachable here
-        # however far wiring got; in-process channels make these
-        # close() calls no-ops, and all of them are idempotent.
-        hq_channel = getattr(kernel, "_hq_channel", None)
-        if hq_channel is not None:
-            hq_channel.close()
-        close_verifier = getattr(getattr(kernel, "_hq_verifier", None),
-                                 "close", None)
-        if close_verifier is not None:
-            close_verifier()
-
-
-def _wire_and_execute(config, module, design, channel, entry, entry_args,
-                      policy_factory, kill_on_violation,
-                      sync_exempt_syscalls, max_steps, aslr, seed,
-                      inlined_runtime, channel_kwargs,
-                      exec_option_overrides, pre_run,
-                      naive_synchronization, fault_injector, observer,
-                      shards, race_check, process, kernel, pass_stats,
-                      ring_probes) -> RunResult:
-    """Wiring + execution body of :func:`run_program` (steps 2–4).
-
-    Split out so the caller can hold a ``finally`` over the whole
-    thing: every resource-owning component is parked on ``kernel``
-    (``_hq_verifier`` / ``_hq_channel``) the moment it exists, which is
-    what makes cleanup reachable when this raises at *any* point.
-    """
-    verifier = None  # Verifier or ShardedVerifier (duck-typed liaison)
-    hq_channel: Optional[Channel] = None
-    hq_module = None
+    stack = None
     if config.monitored:
-        if shards is not None and shards > 1:
-            from repro.core.shard_verifier import ShardedVerifier
-            verifier = ShardedVerifier(policy_factory, shards)
-            kernel._hq_verifier = verifier
-            if race_check:
-                from repro.mc.race import RingProbe
-                for engine in verifier.shards:
-                    probe = RingProbe()
-                    # The inline coordinator plays both protocol roles
-                    # on each ring; distinct actor names per role keep
-                    # the happens-before analysis honest about which
-                    # accesses the sync accesses must order.
-                    engine.ring.attach_probe(
-                        probe,
-                        producer=f"router{engine.shard_id}",
-                        consumer=f"shard{engine.shard_id}")
-                    ring_probes.append((engine.shard_id, probe))
-        else:
-            verifier = Verifier(policy_factory)
-            kernel._hq_verifier = verifier
-        # The observer rides on the *inner* verifier/transport so fault
-        # wrappers (which delegate to them) are observed for free and
-        # nothing is double-counted.
-        verifier.observer = observer
-        if fault_injector is not None:
-            # Wrap the verifier first so every liaison path — the drain
-            # hooks wired below included — goes through the injector.
-            verifier = fault_injector.wrap_verifier(verifier)
-        hq_channel = _wire_channel(channel, verifier, **(channel_kwargs or {}))
-        kernel._hq_channel = hq_channel  # parked pre-wrap: the resource owner
-        hq_channel.observer = observer
-        if fault_injector is not None:
-            hq_channel = fault_injector.wrap_channel(hq_channel)
-        verifier.attach_channel(hq_channel)
-        hq_module = HQKernelModule(
-            verifier,
+        stack = MonitoredStack(
+            policy_factory, shards=shards, race_check=race_check,
+            observer=observer, fault_injector=fault_injector,
             kill_on_violation=kill_on_violation,
             sync_exempt_syscalls=sync_exempt_syscalls,
             force_round_trip=naive_synchronization)
-        hq_module.observer = observer
-        if fault_injector is not None:
-            fault_injector.configure_kernel(hq_module)
-        kernel.hq = hq_module
-        kernel.attach(process)
-        hq_module.enable(process)
-    else:
-        kernel.attach(process)
+    try:
+        if stack is None:
+            kernel, verifier, hq_channel = Kernel(), None, None
+            kernel.attach(process)
+        else:
+            kernel, verifier = stack.kernel, stack.verifier
+            hq_channel = stack.add_channel(channel, **(channel_kwargs or {}))
+            stack.enable(process)
+        runtime = config.runtime(hq_channel)
+        if isinstance(runtime, HQRuntime):
+            runtime.inlined = inlined_runtime
+            if stack is not None:
+                stack.attach_runtime(runtime)
+        if hasattr(runtime, "abort_on_violation"):
+            # In-process designs mirror the continue-after-violation
+            # mode the paper uses for correctness/performance runs
+            # (section 5).
+            runtime.abort_on_violation = kill_on_violation
+        options = config.exec_options(max_steps=max_steps, aslr=aslr,
+                                      seed=seed,
+                                      **(exec_option_overrides or {}))
+        interpreter = Interpreter(
+            Image(module, process), runtime, options, kernel.syscall,
+            on_step=(verifier.poll if verifier is not None else None),
+            observer=observer)
 
-    runtime = config.runtime(hq_channel)
-    options = config.exec_options(max_steps=max_steps, aslr=aslr, seed=seed,
-                                  **(exec_option_overrides or {}))
-    if isinstance(runtime, HQRuntime):
-        runtime.inlined = inlined_runtime
-        if verifier is not None:
-            # Channel-full backoff: retries drain the verifier, and a
-            # kill on budget exhaustion is recorded with the module.
-            runtime.drain_hook = verifier.poll
-        if hq_module is not None:
-            runtime.on_fail_closed = hq_module.record_fail_closed
-    if hasattr(runtime, "abort_on_violation"):
-        # In-process designs mirror the continue-after-violation mode
-        # the paper uses for correctness/performance runs (section 5).
-        runtime.abort_on_violation = kill_on_violation
+        # 3. Execute, then drain the verifier and fill the result.
+        result = RunResult(design=design,
+                           channel=channel if config.monitored else None,
+                           outcome="ok", pass_stats=pass_stats)
+        if observer is not None:
+            observer.run_start(design, result.channel)
+        execute(result, interpreter, kernel, verifier, entry, entry_args,
+                pre_run)
+        if stack is not None:
+            result.races = stack.races()
+        if observer is not None:
+            observer.finalize_run(
+                steps=interpreter.steps,
+                runtime=runtime if isinstance(runtime, HQRuntime) else None,
+                channel=hq_channel, verifier=verifier,
+                outcome=result.outcome)
+            result.obs_report = observer.report()
+        return result
+    finally:
+        # 4. Release OS resources even when an exception unwinds
+        # mid-run: SPSC rings hold real /dev/shm segments, and an
+        # aborted sharded run must not leak them.
+        if stack is not None:
+            stack.close()
 
-    image = Image(module, process)
-    interpreter = Interpreter(
-        image, runtime, options, kernel.syscall,
-        on_step=(verifier.poll if verifier is not None else None),
-        observer=observer)
 
-    # 3. Execute.
-    result = RunResult(design=design,
-                       channel=channel if config.monitored else None,
-                       outcome="ok", pass_stats=pass_stats)
-    if observer is not None:
-        observer.run_start(design, result.channel)
+def execute(result: RunResult, interpreter: Interpreter, kernel: Kernel,
+            verifier=None, entry: str = "main",
+            entry_args: Optional[Sequence[int]] = None,
+            pre_run: Optional[Callable[[Image, Interpreter], None]] = None
+            ) -> RunResult:
+    """Run ``interpreter`` to completion and fill ``result`` in place.
+
+    Maps the way execution ended to ``result.outcome``, gives
+    ``verifier`` (None for in-process designs) a final poll for the
+    messages still in flight, and copies the process's verdicts,
+    output and accounting into ``result``.  :func:`run_program` and
+    :meth:`repro.core.session.HQSession.run` both end here.
+    """
+    process = interpreter.process
     try:
         if pre_run is not None:
-            pre_run(image, interpreter)
+            pre_run(interpreter.image, interpreter)
         result.exit_status = interpreter.run(entry, list(entry_args or []))
     except ProcessKilledError as error:
         result.outcome = "killed"
@@ -346,37 +278,19 @@ def _wire_and_execute(config, module, design, channel, entry, entry_args,
         result.outcome = "crash"
         result.detail = str(error)
 
-    # 4. Final verifier drain: process any messages still in flight.
     if verifier is not None:
         verifier.poll()
         result.violations = verifier.all_violations(process.pid)
         stats = verifier.stats.get(process.pid)
         if stats is not None:
             result.max_entries = stats.max_entries
+    runtime = interpreter.runtime
     if isinstance(runtime, HQRuntime):
         result.messages_sent = runtime.messages_sent
     result.runtime_violations = getattr(runtime, "violations", 0)
-    if ring_probes:
-        from repro.mc.race import RaceDetector
-        result.races = []
-        for shard_id, probe in ring_probes:
-            # One endpoint object played both roles, so its event log
-            # is already a total order — no cross-log merge needed.
-            detector = RaceDetector().feed(probe.events)
-            result.races.extend(
-                f"shard {shard_id}: {race}" for race in detector.races)
-
     result.cycles = process.cycles.snapshot()
     result.output = list(kernel.stdout.get(process.pid, []))
     result.hijacks = len(interpreter.hijacks)
     result.win_executed = process.pid in kernel.win_executed
     result.steps = interpreter.steps
-    if observer is not None:
-        observer.finalize_run(
-            steps=interpreter.steps,
-            runtime=runtime if isinstance(runtime, HQRuntime) else None,
-            channel=hq_channel, verifier=verifier,
-            outcome=result.outcome)
-        result.obs_report = observer.report()
-    # Step 5 (resource release) lives in run_program's ``finally``.
     return result

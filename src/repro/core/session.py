@@ -1,22 +1,27 @@
 """Multi-process HerQules sessions.
 
-:func:`repro.core.framework.run_program` wires a private kernel and
-verifier per run — convenient for experiments, but the deployed system
-has **one** verifier serving **many** monitored programs (Figure 1),
-each with its own per-core AMR (section 2.3.2), with policy contexts
-keyed by pid and copied on fork.  :class:`HQSession` models that
-deployment:
+:func:`repro.core.framework.run_program` builds a private monitored
+stack per run — convenient for experiments, but the deployed system has
+**one** verifier serving **many** monitored programs (Figure 1), each
+with its own per-core AMR (section 2.3.2), with policy contexts keyed
+by pid and copied on fork.  :class:`HQSession` models that deployment
+on one :class:`~repro.core.stack.MonitoredStack`:
 
 * one :class:`~repro.sim.kernel.Kernel` + HQ kernel module,
 * one :class:`~repro.core.verifier.Verifier` with a policy context per
   monitored pid,
-* one AppendWrite channel per monitored program, all drained by the
-  single verifier (the one-reader/many-AMRs pattern).
+* one AppendWrite channel per monitored program
+  (:meth:`~repro.core.stack.MonitoredStack.add_channel`), all drained by
+  the single verifier (the one-reader/many-AMRs pattern).
 
 Programs run one at a time (the simulation is single-threaded) but
 share all verifier and kernel state, so cross-process isolation
 properties — a violation in one program never affects another's context
-— are real and tested.
+— are real and tested.  A program's runtime is wired exactly as in
+``run_program``: channel-full backoff drains the verifier, a fail-closed
+kill is recorded with the kernel module, and every outcome (an
+in-process violation included) maps to a :class:`RunResult` through the
+same :func:`~repro.core.framework.execute`.
 """
 
 from __future__ import annotations
@@ -28,21 +33,14 @@ from repro.cfi.designs import get_design
 from repro.cfi.hq_cfi import HQCFIPolicy
 from repro.compiler import ir
 from repro.compiler.passes.base import PassManager
-from repro.core.framework import RunResult, _wire_channel
+from repro.core.framework import RunResult, execute
 from repro.core.policy import Policy
 from repro.core.runtime import HQRuntime
-from repro.core.verifier import Verifier
+from repro.core.stack import MonitoredStack
 from repro.ipc.base import Channel
-from repro.sim.cpu import (
-    ExecutionLimitExceeded,
-    Interpreter,
-    ProcessKilledError,
-    ProgramCrash,
-)
-from repro.sim.kernel import HQKernelModule, Kernel
+from repro.sim.cpu import Interpreter
 from repro.sim.loader import Image
-from repro.sim.memory import SegmentationFault
-from repro.sim.process import HeapError, Process
+from repro.sim.process import Process
 
 
 @dataclass
@@ -81,10 +79,11 @@ class HQSession:
         self.config = config
         self.channel_kind = channel
         self.channel_kwargs = channel_kwargs or {}
-        self.verifier = Verifier(policy_factory)
-        self.hq_module = HQKernelModule(
-            self.verifier, kill_on_violation=kill_on_violation)
-        self.kernel = Kernel(self.hq_module)
+        self.stack = MonitoredStack(policy_factory,
+                                    kill_on_violation=kill_on_violation)
+        self.verifier = self.stack.verifier
+        self.hq_module = self.stack.hq
+        self.kernel = self.stack.kernel
         self.programs: Dict[int, MonitoredProgram] = {}
 
     # -- lifecycle -------------------------------------------------------------
@@ -99,16 +98,15 @@ class HQSession:
         """
         PassManager(self.config.passes()).run(module)
         process = Process(name=name or module.name)
-        channel = _wire_channel(self.channel_kind, self.verifier,
-                                **self.channel_kwargs)
-        self.verifier.attach_channel(channel)
-        self.kernel.attach(process)
-        self.hq_module.enable(process)
+        channel = self.stack.add_channel(self.channel_kind,
+                                         **self.channel_kwargs)
+        self.stack.enable(process)
 
         runtime = self.config.runtime(channel)
-        options = self.config.exec_options()
-        image = Image(module, process)
-        interpreter = Interpreter(image, runtime, options,
+        if isinstance(runtime, HQRuntime):
+            self.stack.attach_runtime(runtime)
+        interpreter = Interpreter(Image(module, process), runtime,
+                                  self.config.exec_options(),
                                   self.kernel.syscall,
                                   on_step=self.verifier.poll)
         program = MonitoredProgram(process.name, process, channel,
@@ -119,34 +117,12 @@ class HQSession:
     def run(self, program: MonitoredProgram, entry: str = "main",
             entry_args: Optional[Sequence[int]] = None) -> RunResult:
         """Execute one registered program to completion."""
-        result = RunResult(design=self.config.name,
-                           channel=self.channel_kind, outcome="ok")
-        try:
-            result.exit_status = program.interpreter.run(
-                entry, list(entry_args or []))
-        except ProcessKilledError as error:
-            result.outcome = "killed"
-            result.detail = error.reason
-        except ExecutionLimitExceeded as error:
-            result.outcome = "hang"
-            result.detail = str(error)
-        except (ProgramCrash, SegmentationFault, HeapError) as error:
-            result.outcome = "crash"
-            result.detail = str(error)
-        self.verifier.poll()
-        result.violations = self.verifier.all_violations(
-            program.process.pid)
-        runtime = program.interpreter.runtime
-        if isinstance(runtime, HQRuntime):
-            result.messages_sent = runtime.messages_sent
-        result.cycles = program.process.cycles.snapshot()
-        result.output = list(self.kernel.stdout.get(
-            program.process.pid, []))
-        result.win_executed = program.process.pid in \
-            self.kernel.win_executed
-        program.result = result
-        return result
-
+        program.result = execute(
+            RunResult(design=self.config.name, channel=self.channel_kind,
+                      outcome="ok"),
+            program.interpreter, self.kernel, self.verifier, entry,
+            entry_args)
+        return program.result
     def run_all(self) -> List[RunResult]:
         """Run every registered program that has not run yet."""
         return [self.run(program) for program in self.programs.values()

@@ -12,13 +12,12 @@ ordering verification needs — shards never talk to each other.
 
 Two execution modes share the ring format and the dispatch path:
 
-* :class:`ShardedVerifier` — the *inline coordinator*, a drop-in for
-  :class:`Verifier` behind the kernel module's duck-typed liaison
-  interface (``poll`` / ``has_violation`` / ``consume_syscall_token`` /
-  ``terminated`` / ``restart``).  It routes each received word batch to
-  the owning shard's ring and drains every live shard inside ``poll``,
-  keeping runs deterministic (chaos replay, equivalence property
-  tests) while exercising the real rings.
+* :class:`ShardedVerifier` — the *inline coordinator*, a second
+  implementation of the kernel module's
+  :class:`~repro.sim.kernel.VerifierLiaison` protocol.  It routes each
+  received word batch to the owning shard's ring and drains every live
+  shard inside ``poll``, keeping runs deterministic (chaos replay,
+  equivalence property tests) while exercising the real rings.
 * :class:`ShardWorker` / :func:`shard_worker_main` — a real OS worker
   process per shard for the throughput bench and the torn-write tests:
   the parent publishes into the ring, the child free-runs a
@@ -139,7 +138,7 @@ class ShardEngine:
 class ShardedVerifier:
     """Inline coordinator: the kernel-facing front of N verifier shards.
 
-    Implements the full duck-typed liaison surface of
+    Implements :class:`~repro.sim.kernel.VerifierLiaison` like
     :class:`Verifier` — ``run_program``, the kernel module, the fault
     injector, and the chaos runner all operate on it unchanged.
     Merged read-only views (``contexts`` / ``stats`` / ``violations`` /
@@ -176,6 +175,9 @@ class ShardedVerifier:
         self._pending_integrity: List[str] = []
         self.terminated = False
         self.restarts = 0
+        #: Total dispatch work a :meth:`poll` without an explicit limit
+        #: may do across shards (see :attr:`Verifier.poll_budget`).
+        self.poll_budget: Optional[int] = None
         self._observer = None
         self._closed = False
 
@@ -230,13 +232,9 @@ class ShardedVerifier:
         parent_engine = self._pid_engine.get(parent_pid)
         parent_ctx = (parent_engine.verifier.contexts.get(parent_pid)
                       if parent_engine is not None else None)
-        child.contexts[child_pid] = (parent_ctx.clone()
-                                     if parent_ctx is not None
-                                     else child._policy_factory())
-        child.stats[child_pid] = PolicyStats()
-        child.violations[child_pid] = []
-        child._pending_violation[child_pid] = False
-        child._syscall_tokens[child_pid] = 0
+        child.open_pid(child_pid, parent_ctx.clone()
+                       if parent_ctx is not None
+                       else self._policy_factory())
 
     def unregister_process(self, pid: int) -> None:
         engine = self._pid_engine.get(pid)
@@ -310,6 +308,8 @@ class ShardedVerifier:
         """
         if self.terminated:
             return 0
+        if max_messages is None:
+            max_messages = self.poll_budget
         obs = self._observer
         start = obs.now() if obs is not None else 0.0
         for channel in self.channels:
@@ -343,6 +343,8 @@ class ShardedVerifier:
             obs.verifier_poll_event(processed, start)
             obs.note_backlog(self.backlog_size())
         return processed
+
+    flush = Verifier.flush
 
     def _route(self, words: array) -> None:
         """Split one word batch into per-pid runs and enqueue each.
@@ -552,13 +554,8 @@ class ShardedVerifier:
         self.restarts += 1
         self._pid_engine = {}
         for pid in sorted(live):
-            engine = self._engine_for(pid)
-            verifier = engine.verifier
-            verifier.contexts[pid] = verifier._policy_factory()
-            verifier.stats.setdefault(pid, PolicyStats())
-            verifier.violations.setdefault(pid, [])
-            verifier._pending_violation[pid] = False
-            verifier._syscall_tokens[pid] = 0
+            self._engine_for(pid).verifier.open_pid(
+                pid, self._policy_factory(), keep_history=True)
         killed = sorted(lost & live)
         for pid in killed:
             self._engine_for(pid).verifier._record_violation(Violation(

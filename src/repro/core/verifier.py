@@ -42,6 +42,10 @@ class Verifier:
     #: by the framework.  Kept on the *inner* verifier so fault-injection
     #: wrappers (which delegate ``poll``) are observed transparently.
     observer = None
+    #: Messages a :meth:`poll` without an explicit limit may dispatch
+    #: (``None``: unbounded) — the slow-verifier model of the traffic
+    #: tier and of the fault injector.
+    poll_budget: Optional[int] = None
 
     def __init__(self, policy_factory: Callable[[], Policy],
                  kill_callback: Optional[Callable[[int], None]] = None) -> None:
@@ -92,11 +96,22 @@ class Verifier:
 
     # -- process lifecycle (privileged kernel channel) -----------------------------
 
-    def register_process(self, pid: int) -> None:
-        """Kernel notification: a process enabled HerQules (Figure 1, 1b)."""
-        self.contexts[pid] = self._policy_factory()
-        self.stats[pid] = PolicyStats()
-        self.violations[pid] = []
+    def open_pid(self, pid: int, context: Policy,
+                 keep_history: bool = False) -> None:
+        """Open ``pid``'s per-pid rows with ``context`` as its policy.
+
+        The one place a pid becomes live: register, fork and restart
+        all come through here, on a single verifier or on the owning
+        shard.  ``keep_history`` (restart) keeps existing stats and
+        violations; otherwise they start empty.
+        """
+        self.contexts[pid] = context
+        if keep_history:
+            self.stats.setdefault(pid, PolicyStats())
+            self.violations.setdefault(pid, [])
+        else:
+            self.stats[pid] = PolicyStats()
+            self.violations[pid] = []
         self._pending_violation[pid] = False
         self._syscall_tokens[pid] = 0
         if self._exited_at:
@@ -104,17 +119,15 @@ class Verifier:
             # pending reclamation from its predecessor's exit.
             self._exited_at.pop(pid, None)
 
+    def register_process(self, pid: int) -> None:
+        """Kernel notification: a process enabled HerQules (Figure 1, 1b)."""
+        self.open_pid(pid, self._policy_factory())
+
     def fork_process(self, parent_pid: int, child_pid: int) -> None:
         """Kernel notification: copy the parent's policy context."""
         parent = self.contexts.get(parent_pid)
-        self.contexts[child_pid] = (parent.clone() if parent is not None
-                                    else self._policy_factory())
-        self.stats[child_pid] = PolicyStats()
-        self.violations[child_pid] = []
-        self._pending_violation[child_pid] = False
-        self._syscall_tokens[child_pid] = 0
-        if self._exited_at:
-            self._exited_at.pop(child_pid, None)
+        self.open_pid(child_pid, parent.clone() if parent is not None
+                      else self._policy_factory())
 
     def unregister_process(self, pid: int) -> None:
         """Kernel notification: the process terminated.
@@ -206,6 +219,8 @@ class Verifier:
         """
         if self.terminated:
             return 0
+        if max_messages is None:
+            max_messages = self.poll_budget
         obs = self.observer
         poll_start = obs.now() if obs is not None else 0.0
         backlog = self._backlog
@@ -241,6 +256,19 @@ class Verifier:
             obs.verifier_poll_event(processed, poll_start)
             obs.note_backlog(self.backlog_size())
         return processed
+
+    def flush(self) -> int:
+        """Unbudgeted drain: dispatch everything still queued."""
+        budget, self.poll_budget = self.poll_budget, None
+        total = 0
+        try:
+            while True:
+                processed = self.poll()
+                if not processed:
+                    return total
+                total += processed
+        finally:
+            self.poll_budget = budget
 
     def backlog_size(self) -> int:
         """Messages drained but not yet dispatched (backpressure)."""
@@ -452,6 +480,11 @@ class Verifier:
         without perturbing the token count."""
         return self._syscall_tokens.get(pid, 0) > 0
 
+    def shard_down_for(self, pid: int) -> bool:
+        """A single verifier has no shard to lose: only ``terminated``
+        (the whole verifier) can condemn a pid."""
+        return False
+
     # -- reporting -----------------------------------------------------------------------
 
     def all_violations(self, pid: int) -> List[Violation]:
@@ -511,11 +544,7 @@ class Verifier:
         self._pending_violation = {}
         self._syscall_tokens = {}
         for pid in sorted(live):
-            self.contexts[pid] = self._policy_factory()
-            self.stats.setdefault(pid, PolicyStats())
-            self.violations.setdefault(pid, [])
-            self._pending_violation[pid] = False
-            self._syscall_tokens[pid] = 0
+            self.open_pid(pid, self._policy_factory(), keep_history=True)
         killed = sorted(lost & live)
         for pid in killed:
             self._record_violation(Violation(
@@ -523,3 +552,6 @@ class Verifier:
                 "in-flight messages lost across verifier restart "
                 "(fail closed)"))
         return killed
+
+    def close(self) -> None:
+        """A single verifier holds no OS resources; nothing to release."""

@@ -2,9 +2,10 @@
 
 A :class:`FaultInjector` owns one :class:`FaultPlan` and knows where
 each fault family attaches: channel wrappers on the message transport,
-the verifier wrapper on the liaison interface, and epoch jitter on the
-kernel module.  ``run_program(..., fault_injector=...)`` calls the
-three hooks at the right points of the Figure 1 wiring.
+the verifier wrapper on the liaison interface, and epoch jitter plus
+the restart budget on the kernel module.
+:class:`repro.core.stack.MonitoredStack` calls the three hooks at the
+right points of the Figure 1 wiring.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ class FaultInjector:
 
     def configure_kernel(self, hq_module) -> None:
         hq_module.epoch_jitter = self.plan.epoch_jitter
+        if self.plan.verifier_restartable:
+            hq_module.restart_budget = 1
 
     def describe(self) -> str:
         return self.plan.describe()

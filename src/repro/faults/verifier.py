@@ -8,17 +8,15 @@ Verifier` and models the verifier *process* misbehaving:
   courteous flag-sweeping of :meth:`Verifier.terminate`, which is
   exactly the case the kernel module must detect on its own (section
   3.4: kill monitored programs on unexpected verifier termination).
-* **restart** — if the plan allows it, the kernel module's
-  ``maybe_restart`` liaison brings up a replacement verifier via
-  :meth:`Verifier.restart`, re-registering live pids from kernel state
-  and conservatively killing pids whose in-flight messages died with
-  the old instance.
 * **slow poll** — each time slice processes only ``plan.poll_limit``
-  messages, building backlog and exercising the bounded-epoch
-  backpressure path.
+  messages (the wrapped verifier's ``poll_budget``), building backlog
+  and exercising the bounded-epoch backpressure path.
 
-All other attributes delegate to the wrapped verifier, so the kernel
-module, framework, and channels interact with it unchanged.
+Whether a crashed verifier comes back is the kernel module's decision,
+not the wrapper's: :meth:`repro.faults.FaultInjector.configure_kernel`
+grants it one restart when the plan is restartable.  All other
+attributes delegate to the wrapped verifier, so the kernel module,
+framework, and channels interact with it unchanged.
 """
 
 from __future__ import annotations
@@ -30,14 +28,15 @@ from repro.faults.plan import FaultPlan
 
 
 class FaultyVerifier:
-    """Crash/slowdown/restart wrapper over a real verifier."""
+    """Crash/slowdown wrapper over a real verifier."""
 
     def __init__(self, inner: Verifier, plan: FaultPlan) -> None:
         self.inner = inner
         self.plan = plan
         self.polls = 0
         self.crashes = 0
-        self.restarts_granted = 0
+        if plan.poll_limit is not None:
+            inner.poll_budget = plan.poll_limit
         #: Shard-crash injections performed / which shard died (sharded
         #: runtime only; inert against a single verifier).
         self.shard_crashes = 0
@@ -64,26 +63,7 @@ class FaultyVerifier:
             if crash is not None:
                 self.shard_crashes += 1
                 self.crashed_shard = crash(self.plan.shard_pick)
-        limit = self.plan.poll_limit
-        if limit is not None:
-            max_messages = limit if max_messages is None \
-                else min(limit, max_messages)
         return self.inner.poll(max_messages)
-
-    def maybe_restart(self, kernel_module) -> bool:
-        """Kernel liaison: try to bring up a replacement verifier.
-
-        Grants at most one restart per run, and only when the plan
-        marks the crash as restartable.  Returns True when the kernel
-        may resume its epoch loop against the restarted instance.
-        """
-        if not self.inner.terminated:
-            return True  # nothing to do; a racing poll already recovered
-        if not self.plan.verifier_restartable or self.restarts_granted > 0:
-            return False
-        self.restarts_granted += 1
-        self.inner.restart(sorted(kernel_module.contexts))
-        return True
 
     def __getattr__(self, name: str):
         # Everything else — register/fork/unregister, has_violation,

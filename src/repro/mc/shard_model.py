@@ -20,9 +20,8 @@ property each; the mutation gate proves the checker notices.
 :func:`conformance_check` closes the model/implementation gap: it
 drives a *real* :class:`~repro.core.shard_verifier.ShardedVerifier`
 (real rings, real pid routing) through every single-death scenario and
-asserts that ``shard_down_for`` / ``ack_epoch`` / the kernel barrier's
-:func:`~repro.sim.kernel.shard_scoped_kill` decision agree with the
-abstract model's verdicts.
+asserts that ``shard_down_for`` (the query the kernel barrier kills
+on) and ``ack_epoch`` agree with the abstract model's verdicts.
 """
 
 from __future__ import annotations
@@ -209,19 +208,16 @@ def conformance_check(num_shards: int = 3,
 
     For each choice of dead shard: register ``pids`` processes, give
     every shard a distinct acked position, crash the chosen shard, and
-    check (a) ``shard_down_for`` is true exactly for the dead shard's
-    pids, (b) the kernel's :func:`~repro.sim.kernel.shard_scoped_kill`
-    decision matches it (they share the decision point by
-    construction, so this pins the wiring), (c) ``ack_epoch`` equals
-    the minimum over *live* shards' acked positions, and (d) every
-    condemned pid — and no survivor — carries a ``shard-terminated``
-    violation.
+    check (a) ``shard_down_for`` — the one query the kernel barrier
+    kills on — is true exactly for the dead shard's pids, (b)
+    ``ack_epoch`` equals the minimum over *live* shards' acked
+    positions, and (c) every condemned pid — and no survivor — carries
+    a ``shard-terminated`` violation.
 
     Returns ``{"cases": n, "mismatches": [...]}``; an empty mismatch
     list is the pass condition.
     """
     from repro.core.shard_verifier import ShardedVerifier, resolve_policy
-    from repro.sim.kernel import shard_scoped_kill
 
     mismatches: List[str] = []
     cases = 0
@@ -252,10 +248,6 @@ def conformance_check(num_shards: int = 3,
                         f"dead={dead} pid={pid}: shard_down_for "
                         f"{verifier.shard_down_for(pid)} != model "
                         f"{model_kill}")
-                if shard_scoped_kill(verifier, pid) != model_kill:
-                    mismatches.append(
-                        f"dead={dead} pid={pid}: kernel decision "
-                        f"disagrees with model {model_kill}")
                 condemned = any(
                     v.kind == "shard-terminated"
                     for v in verifier.all_violations(pid))

@@ -24,7 +24,8 @@ on ``fork``/``clone`` and dropped at exit, as described in section 3.3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
+                    Protocol, Set)
 
 from repro.sim.cpu import (
     ProcessKilledError,
@@ -39,20 +40,67 @@ from repro.sim.cpu import (
 from repro.sim.cycles import ns_to_cycles
 from repro.sim.process import Process
 
+if TYPE_CHECKING:
+    from repro.ipc.base import Channel
 
-def shard_scoped_kill(verifier, pid: int) -> bool:
-    """Should the barrier kill ``pid`` because its verifier shard died?
 
-    The single decision point for scoped shard-death kills: true iff
-    the liaison is sharded (exposes ``shard_down_for``) and reports
-    this pid's shard down.  The barrier consults it below, and the
-    model-checking layer's conformance check
-    (:func:`repro.mc.shard_model.conformance_check`) drives the same
-    function against the abstract lifecycle model — so the decision
-    the kernel enforces is the one the checker verified.
+class VerifierLiaison(Protocol):
+    """The kernel module's view of the verifier.
+
+    This is the privileged kernel↔verifier channel of Figure 1, declared
+    once.  :class:`~repro.core.verifier.Verifier` and
+    :class:`~repro.core.shard_verifier.ShardedVerifier` implement it, and
+    the fault injector's :class:`~repro.faults.FaultyVerifier` forwards
+    it.  ``poll`` honours ``poll_budget`` (``None``: unbounded) when
+    called without a limit; ``flush`` always drains everything.
     """
-    shard_down = getattr(verifier, "shard_down_for", None)
-    return shard_down is not None and bool(shard_down(pid))
+
+    terminated: bool
+    poll_budget: Optional[int]
+    channels: List["Channel"]
+
+    def attach_channel(self, channel: "Channel") -> None:
+        """Start draining a monitored program's channel."""
+
+    def poll(self, max_messages: Optional[int] = None) -> int:
+        """One time slice: drain and dispatch; returns messages done."""
+
+    def flush(self) -> int:
+        """Unbudgeted drain: dispatch everything still queued."""
+
+    def backlog_size(self) -> int:
+        """Messages drained but not yet dispatched."""
+
+    def register_process(self, pid: int) -> None:
+        """A process enabled HerQules (Figure 1, 1b)."""
+
+    def fork_process(self, parent_pid: int, child_pid: int) -> None:
+        """Copy the parent's policy context to the child."""
+
+    def unregister_process(self, pid: int) -> None:
+        """The process terminated."""
+
+    def has_violation(self, pid: int) -> bool:
+        """Whether an unacknowledged violation is pending for ``pid``."""
+
+    def acknowledge_violation(self, pid: int) -> None:
+        """Clear the pending flag (continue-on-violation mode)."""
+
+    def consume_syscall_token(self, pid: int) -> bool:
+        """Take one syscall-synchronization token, if available."""
+
+    def has_syscall_token(self, pid: int) -> bool:
+        """Would :meth:`consume_syscall_token` succeed?"""
+
+    def shard_down_for(self, pid: int) -> bool:
+        """Whether the verifier shard owning ``pid`` died."""
+
+    def restart(self, live_pids: Iterable[int],
+                lost_pids: Iterable[int] = ()) -> List[int]:
+        """Replacement bring-up (section 3.4); returns condemned pids."""
+
+    def close(self) -> None:
+        """Release OS resources (shard rings); idempotent."""
 
 
 # Admission verdicts (the distinct outcomes the traffic tier reports).
@@ -147,12 +195,11 @@ class HQContext:
 class HQKernelModule:
     """The ``hq.ko`` model: syscall interception + verifier liaison.
 
-    ``verifier`` is duck-typed: it must provide ``poll()`` (drain and
-    process pending messages), ``has_violation(pid)`` and
-    ``consume_syscall_token(pid)`` (true if a SYSCALL message from
-    ``pid`` has been processed since the last consumption).  The
-    kernel↔verifier link is the privileged channel of Figure 1 and is
-    not reachable from monitored programs.
+    ``verifier`` is any :class:`VerifierLiaison`.  The kernel↔verifier
+    link is the privileged channel of Figure 1 and is not reachable
+    from monitored programs.  The module also decides what happens when
+    the verifier dies (section 3.4): with ``restart_budget`` left it
+    brings up a replacement, otherwise it kills the monitored program.
     """
 
     #: Verifier polls allowed before the epoch expires and the program
@@ -170,7 +217,8 @@ class HQKernelModule:
     #: by the framework, None means every emit site is one predicate.
     observer = None
 
-    def __init__(self, verifier=None, epoch_polls: int = DEFAULT_EPOCH_POLLS,
+    def __init__(self, verifier: Optional[VerifierLiaison] = None,
+                 epoch_polls: int = DEFAULT_EPOCH_POLLS,
                  kill_on_violation: bool = True,
                  sync_exempt_syscalls: Optional[Set[int]] = None,
                  force_round_trip: bool = False) -> None:
@@ -189,6 +237,9 @@ class HQKernelModule:
         #: Optional per-barrier perturbation of the epoch budget
         #: (fault-injection hook: scheduling jitter on the epoch timer).
         self.epoch_jitter: Optional[Callable[[], int]] = None
+        #: Replacement verifiers this module may still bring up after
+        #: a crash; 0 (the default) kills on the first crash.
+        self.restart_budget = 0
         #: Successful verifier restarts mediated by this module.
         self.verifier_restarts = 0
         #: Optional :class:`AdmissionController`; ``None`` (the
@@ -210,7 +261,7 @@ class HQKernelModule:
         if verifier is None:
             return 0
         load = verifier.backlog_size()
-        for channel in getattr(verifier, "channels", ()):
+        for channel in verifier.channels:
             load += channel.pending()
         return load
 
@@ -295,7 +346,7 @@ class HQKernelModule:
             self.verifier.poll()
             if self.verifier.terminated:
                 self._verifier_down(process, context, number)
-            if shard_scoped_kill(self.verifier, process.pid):
+            if self.verifier.shard_down_for(process.pid):
                 # Sharded runtime: *this pid's* verifier shard died.  The
                 # kill is scoped — pids on surviving shards keep running —
                 # but for the condemned pid the semantics are identical to
@@ -346,22 +397,31 @@ class HQKernelModule:
                        number: int) -> None:
         """The verifier terminated unexpectedly (section 3.4).
 
-        If the verifier implementation offers a restart path
-        (``maybe_restart``, duck-typed like the rest of the liaison
-        interface), give it one chance to come back — the restart
-        conservatively kills pids whose messages were lost.  Otherwise
-        the monitored program dies: a missing verifier must never mean
-        unchecked execution.
+        A restart conservatively kills pids whose messages were lost;
+        without one the monitored program dies: a missing verifier must
+        never mean unchecked execution.
         """
-        restart = getattr(self.verifier, "maybe_restart", None)
-        if restart is not None and restart(self):
-            self.verifier_restarts += 1
-            if self.observer is not None:
-                self.observer.kernel_verifier_restart()
+        if self.restart_verifier():
             return
         self.violations_seen.append(
             f"pid {process.pid}: verifier terminated at syscall {number}")
         self._kill(process, context, "verifier-terminated")
+
+    def restart_verifier(self) -> bool:
+        """Spend one unit of ``restart_budget`` on a replacement verifier.
+
+        The replacement re-registers every pid this module still tracks
+        and condemns those whose in-flight messages died with the old
+        instance.  Returns whether a restart happened.
+        """
+        if self.restart_budget <= 0:
+            return False
+        self.restart_budget -= 1
+        self.verifier.restart(sorted(self.contexts))
+        self.verifier_restarts += 1
+        if self.observer is not None:
+            self.observer.kernel_verifier_restart()
+        return True
 
     def record_fail_closed(self, pid: int, reason: str) -> None:
         """Runtime notification: a send path failed closed for ``pid``.

@@ -85,7 +85,7 @@ class TestInvariantUnderFaults:
         verdict = classify(result, baseline_for("webserver", "model"))
         assert verdict in OK_VERDICTS
         assert injector.verifier.crashes == 1
-        assert injector.verifier.restarts_granted == 1
+        assert injector.verifier.restarts == 1
 
 
 class TestDeterminism:

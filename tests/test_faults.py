@@ -226,27 +226,33 @@ class TestFaultyVerifier:
         assert sum(faulty.poll() for _ in range(3)) == 3
         assert inner.backlog_size() == 0
 
+    def _module(self, faulty):
+        module = HQKernelModule(faulty)
+        FaultInjector(faulty.plan).configure_kernel(module)
+        return module
+
     def test_restart_denied_without_plan(self):
         faulty, inner, channel, process = self._stack(
             [FaultKind.VERIFIER_CRASH], crash_poll_range=(1, 1))
         faulty.poll()
-        module = HQKernelModule(faulty)
-        assert faulty.maybe_restart(module) is False
+        module = self._module(faulty)
+        assert module.restart_budget == 0
+        assert module.restart_verifier() is False
 
     def test_restart_granted_once(self):
         faulty, inner, channel, process = self._stack(
             [FaultKind.VERIFIER_CRASH_RESTART], crash_poll_range=(1, 1))
-        module = HQKernelModule(faulty)
+        module = self._module(faulty)
         module.enable(process)
         faulty.poll()
         assert inner.terminated
-        assert faulty.maybe_restart(module) is True
+        assert module.restart_verifier() is True
         assert not inner.terminated
         assert inner.restarts == 1
         assert process.pid in inner.contexts
         # A second crash stays down.
         inner.terminated = True
-        assert faulty.maybe_restart(module) is False
+        assert module.restart_verifier() is False
 
 
 class TestVerifierRestart:
@@ -305,11 +311,13 @@ class TestKernelFailClosed:
         # verifier cannot prove it was ever sent, so the pid dies with
         # a recorded violation rather than resuming unchecked.
         inner = Verifier(HQCFIPolicy)
-        faulty = FaultyVerifier(inner, make_plan(
-            [FaultKind.VERIFIER_CRASH_RESTART], crash_poll_range=(1, 1)))
+        plan = make_plan([FaultKind.VERIFIER_CRASH_RESTART],
+                         crash_poll_range=(1, 1))
+        faulty = FaultyVerifier(inner, plan)
         channel = AppendWriteUArch()
         inner.attach_channel(channel)
         hq = HQKernelModule(faulty)
+        FaultInjector(plan).configure_kernel(hq)
         kernel = Kernel(hq)
         process = Process()
         kernel.attach(process)
@@ -325,16 +333,18 @@ class TestKernelFailClosed:
 
     def test_restart_with_empty_channel_loses_nothing(self):
         inner = Verifier(HQCFIPolicy)
-        faulty = FaultyVerifier(inner, make_plan(
-            [FaultKind.VERIFIER_CRASH_RESTART], crash_poll_range=(1, 1)))
+        plan = make_plan([FaultKind.VERIFIER_CRASH_RESTART],
+                         crash_poll_range=(1, 1))
+        faulty = FaultyVerifier(inner, plan)
         channel = AppendWriteUArch()
         inner.attach_channel(channel)
         hq = HQKernelModule(faulty)
+        FaultInjector(plan).configure_kernel(hq)
         process = Process()
         hq.enable(process)
         faulty.poll()                              # crash, nothing in flight
         assert inner.terminated
-        assert faulty.maybe_restart(hq) is True
+        assert hq.restart_verifier() is True
         assert not inner.has_violation(process.pid)
         assert process.pid in inner.contexts
 

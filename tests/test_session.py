@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.framework import run_program
 from repro.core.session import HQSession
 from repro.attacks.ripe import Attack, build_victim
 from repro.compiler import ir
@@ -42,6 +43,18 @@ def uaf_program(name="buggy"):
     result = b.icall(stale, [b.const(3)], sig)
     b.syscall(1, [b.const(1), result, b.const(8)])
     b.ret(result)
+    return module
+
+
+def guard_reentry_program(name="reentry"):
+    """Enters the same store-to-load forwarding guard twice: the HQ
+    runtime aborts the program in-process."""
+    module = ir.Module(name)
+    mainf = module.add_function("main", func(I64, []))
+    b = IRBuilder(mainf.add_block("entry"))
+    for _ in range(2):
+        b._emit(ir.RuntimeCall("hq_stlf_guard_enter", [b.const(7)]))
+    b.ret(b.const(0))
     return module
 
 
@@ -142,3 +155,23 @@ class TestCrossProcessIsolation:
         # process's addresses — mutating one never touches the other.
         table_a.define(0xDEAD, 1)
         assert 0xDEAD not in table_b
+
+
+class TestSameWiringAsRunProgram:
+    def test_in_process_violation_is_an_outcome(self):
+        expected = run_program(guard_reentry_program())
+        session = HQSession()
+        result = session.run(session.register(guard_reentry_program()))
+        assert expected.outcome == result.outcome == "violation"
+        assert result.detail == expected.detail
+
+    def test_channel_full_kill_recorded_with_kernel_module(self):
+        session = HQSession(channel_kwargs={"capacity": 1})
+        program = session.register(small_clean_program())
+        session.verifier.terminated = True  # nothing drains the channel
+        result = session.run(program)
+        assert result.outcome == "killed" and "fail closed" in result.detail
+        pid = program.process.pid
+        assert session.hq_module.contexts[pid].kill_reason == result.detail
+        assert session.hq_module.violations_seen == [
+            f"pid {pid}: {result.detail}"]

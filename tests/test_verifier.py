@@ -1,5 +1,6 @@
 """Tests for the verifier process model (repro.core.verifier)."""
 
+import inspect
 from collections import Counter
 
 import pytest
@@ -11,7 +12,9 @@ from repro.core.messages import Op
 from repro.core.policy import PolicyStats
 from repro.core.shard_verifier import ShardedVerifier
 from repro.core.verifier import Verifier
+from repro.faults import FaultPlan, FaultyVerifier
 from repro.ipc.appendwrite import AppendWriteFPGA, AppendWriteUArch
+from repro.sim.kernel import VerifierLiaison
 from repro.sim.process import Process
 from tests.test_sharding import _StubChannel
 
@@ -235,3 +238,57 @@ class TestIntegrity:
         verifier.terminate()
         assert verifier.has_violation(process.pid)
         assert verifier.poll() == 0
+
+
+def _front(kind):
+    """A kernel-facing verifier front of the given kind."""
+    if kind == "sharded":
+        return ShardedVerifier(HQCFIPolicy, 2)
+    if kind == "faulty":
+        return FaultyVerifier(Verifier(HQCFIPolicy), FaultPlan(1))
+    return Verifier(HQCFIPolicy)
+
+
+class TestLiaisonProtocol:
+    @pytest.mark.parametrize("kind", ["verifier", "sharded", "faulty"])
+    def test_front_satisfies_the_protocol(self, kind):
+        # Checked member by member rather than with isinstance: the
+        # fault wrapper forwards through __getattr__, which runtime
+        # protocol checks stop consulting in Python 3.12.
+        front = _front(kind)
+        try:
+            for name in VerifierLiaison.__annotations__:
+                assert hasattr(front, name), name
+            for name, member in vars(VerifierLiaison).items():
+                if name.startswith("_") or not callable(member):
+                    continue
+                declared = list(inspect.signature(member).parameters)[1:]
+                actual = list(inspect.signature(getattr(front, name))
+                              .parameters)
+                assert actual == declared, name
+        finally:
+            front.close()
+
+
+class TestEpochGC:
+    @pytest.mark.parametrize("kind", ["verifier", "sharded"])
+    def test_fork_into_recycled_pid_cancels_its_reclamation(self, kind):
+        front = _front(kind)
+        channel = _StubChannel()
+        front.attach_channel(channel)
+        front.gc_epochs = 1
+        try:
+            front.register_process(10)
+            front.register_process(5)
+            front.unregister_process(5)
+            front.fork_process(10, 5)  # pid 5 is recycled for the child
+            front.advance_epoch()
+            assert 5 in front.contexts
+            # The live child's messages are still checked, not ignored.
+            channel.push(pack_stream(5, [
+                (int(Op.POINTER_CHECK), 0x10, 0x666, 0)]))
+            front.poll()
+            assert [v.kind for v in front.all_violations(5)] == [
+                "cfi-pointer-integrity"]
+        finally:
+            front.close()
