@@ -1,23 +1,20 @@
-"""Sharded verifier runtime: N verifiers behind one liaison surface.
+"""Sharded verifier runtime: one verifier, N rings.
 
-PR 4 flattened the message path into packed 64-bit words so a single
-verifier could batch-dispatch them; this module scales that design out.
 Monitored pids are partitioned across N *shards* by the consistent-hash
 :class:`~repro.core.sharding.ShardMap`; each shard owns a lock-free
-:class:`~repro.ipc.spsc_ring.SpscRing` and an ordinary
-:class:`~repro.core.verifier.Verifier` that drains it through the
-existing batched ``_dispatch_words`` path.  Policy contexts are
-per-pid, so per-pid FIFO (guaranteed by sticky routing) is the only
-ordering verification needs — shards never talk to each other.
+:class:`~repro.ipc.spsc_ring.SpscRing`.  Policy contexts are per-pid,
+so per-pid FIFO (guaranteed by sticky routing) is the only ordering
+verification needs — shards never talk to each other.
 
 Two execution modes share the ring format and the dispatch path:
 
-* :class:`ShardedVerifier` — the *inline coordinator*, a second
-  implementation of the kernel module's
-  :class:`~repro.sim.kernel.VerifierLiaison` protocol.  It routes each
-  received word batch to the owning shard's ring and drains every live
-  shard inside ``poll``, keeping runs deterministic (chaos replay,
-  equivalence property tests) while exercising the real rings.
+* :class:`ShardedVerifier` — the *inline coordinator*: a
+  :class:`~repro.core.verifier.Verifier` whose transport is N rings.
+  It owns the one set of per-pid tables and replaces only how words
+  reach ``_dispatch_words`` (routed to the owning shard's ring, then
+  drained shard by shard inside ``poll``) and what a shard's death
+  does.  Runs stay deterministic (chaos replay, equivalence property
+  tests) while exercising the real rings.
 * :class:`ShardWorker` / :func:`shard_worker_main` — a real OS worker
   process per shard for the throughput bench and the torn-write tests:
   the parent publishes into the ring, the child free-runs a
@@ -40,10 +37,10 @@ from array import array
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.core.messages import MESSAGE_WORDS, OP_NAMES
-from repro.core.policy import Policy, PolicyStats, Violation
+from repro.core.policy import Policy, Violation
 from repro.core.sharding import ShardMap
 from repro.core.verifier import Verifier
-from repro.ipc.base import Channel, ChannelIntegrityError
+from repro.ipc.base import ChannelIntegrityError
 from repro.ipc.spsc_ring import SpscRing
 
 _MASK32 = 0xFFFF_FFFF
@@ -76,7 +73,7 @@ def resolve_policy(name: str) -> Callable[[], Policy]:
 
 
 class ShardEngine:
-    """One shard: a ring plus the verifier that drains it (inline mode).
+    """One shard of the inline coordinator: a ring and its liveness.
 
     ``overflow`` buffers word batches that arrive while the ring is
     full — the coordinator's equivalent of :class:`Verifier`'s word
@@ -84,14 +81,11 @@ class ShardEngine:
     content so per-pid order is preserved.
     """
 
-    def __init__(self, shard_id: int, verifier: Verifier,
-                 ring: SpscRing) -> None:
+    def __init__(self, shard_id: int, ring: SpscRing) -> None:
         self.shard_id = shard_id
-        self.verifier = verifier
         self.ring = ring
         self.alive = True
         self.overflow = array("Q")
-        self.drained_total = 0
 
     def enqueue(self, words: array) -> None:
         """Accept a whole-message word batch routed to this shard."""
@@ -104,11 +98,11 @@ class ShardEngine:
         if published < len(words):
             self.overflow += words[published:]
 
-    def drain(self, max_messages: Optional[int] = None) -> int:
-        """Consume and dispatch up to ``max_messages`` (None: all)."""
+    def drain(self, dispatch: Callable[[array], int],
+              max_messages: Optional[int] = None) -> int:
+        """Consume up to ``max_messages`` (None: all) into ``dispatch``."""
         if not self.alive:
             return 0
-        verifier = self.verifier
         ring = self.ring
         processed = 0
         while True:
@@ -118,7 +112,7 @@ class ShardEngine:
                 break
             words = ring.consume_words(budget)
             if words:
-                processed += verifier._dispatch_words(words)
+                processed += dispatch(words)
                 ring.ack(ring.consumed())
             if self.overflow:
                 published = ring.publish_words(self.overflow)
@@ -127,7 +121,6 @@ class ShardEngine:
                     continue
             if not words:
                 break
-        self.drained_total += processed
         return processed
 
     def backlog_messages(self) -> int:
@@ -135,15 +128,16 @@ class ShardEngine:
             // MESSAGE_WORDS
 
 
-class ShardedVerifier:
-    """Inline coordinator: the kernel-facing front of N verifier shards.
+class ShardedVerifier(Verifier):
+    """Inline coordinator: a :class:`Verifier` whose transport is N rings.
 
-    Implements :class:`~repro.sim.kernel.VerifierLiaison` like
-    :class:`Verifier` — ``run_program``, the kernel module, the fault
-    injector, and the chaos runner all operate on it unchanged.
-    Merged read-only views (``contexts`` / ``stats`` / ``violations`` /
-    ``_syscall_tokens``) are computed on demand; pids are disjoint
-    across shards by construction, so merging is collision-free.
+    The per-pid tables, the kernel-module interface, GC and reporting
+    are :class:`Verifier`'s own; pids are disjoint across shards by
+    routing, so one set of tables serves every shard.  Overridden here:
+    how words reach dispatch (:meth:`poll`, :meth:`_route`,
+    :meth:`backlog_size`), shard death (:meth:`crash_shard`,
+    :meth:`shard_down_for`, :meth:`ack_epoch`), and the routing
+    bookkeeping of the pid lifecycle and :meth:`restart`.
     """
 
     def __init__(self, policy_factory: Callable[[], Policy],
@@ -152,14 +146,12 @@ class ShardedVerifier:
                  vnodes: int = 64) -> None:
         if num_shards < 1:
             raise ValueError("need at least one verifier shard")
-        self._policy_factory = policy_factory
+        super().__init__(policy_factory)
         self.shard_map = ShardMap(num_shards, vnodes)
         self.shards: List[ShardEngine] = [
-            ShardEngine(i, Verifier(policy_factory),
-                        SpscRing.create(capacity_words=ring_capacity_words))
+            ShardEngine(i, SpscRing.create(capacity_words=ring_capacity_words))
             for i in range(num_shards)
         ]
-        self.channels: List[Channel] = []
         self._pid_engine: Dict[int, ShardEngine] = {}
         #: Pids hash into the shard map *relative to the first pid this
         #: coordinator sees*.  Simulator pids are allocated from a
@@ -168,38 +160,11 @@ class ShardedVerifier:
         #: hashing is what makes shard placement (and therefore chaos
         #: shard-crash verdicts) replayable.
         self._pid_base: Optional[int] = None
-        self.integrity_failures: List[str] = []
         #: Integrity evidence found while routing; flushed after the
         #: pre-fault prefix has been dispatched, mirroring the order in
         #: which a single verifier records it.
         self._pending_integrity: List[str] = []
-        self.terminated = False
-        self.restarts = 0
-        #: Total dispatch work a :meth:`poll` without an explicit limit
-        #: may do across shards (see :attr:`Verifier.poll_budget`).
-        self.poll_budget: Optional[int] = None
-        self._observer = None
         self._closed = False
-
-    # -- observer propagation -----------------------------------------------
-
-    @property
-    def observer(self):
-        return self._observer
-
-    @observer.setter
-    def observer(self, value) -> None:
-        # Shard verifiers emit violations and dispatch runs; the
-        # coordinator emits poll/batch/per-shard metrics.  Their polls
-        # are never called, so nothing is double-counted.
-        self._observer = value
-        for engine in self.shards:
-            engine.verifier.observer = value
-
-    # -- channel plumbing ----------------------------------------------------
-
-    def attach_channel(self, channel: Channel) -> None:
-        self.channels.append(channel)
 
     # -- process lifecycle ---------------------------------------------------
 
@@ -217,85 +182,26 @@ class ShardedVerifier:
         """Which shard owns ``pid`` (assigning it if unseen)."""
         return self._engine_for(pid).shard_id
 
-    def register_process(self, pid: int) -> None:
-        self._engine_for(pid).verifier.register_process(pid)
-
-    def fork_process(self, parent_pid: int, child_pid: int) -> None:
-        """Copy the parent's policy context — possibly across shards.
-
-        The child hashes independently, so its context clone may move
-        to a different shard than the parent's; that is the one moment
-        state crosses a shard boundary, and it happens in the
-        coordinator (kernel-notification path), never between shards.
-        """
-        child = self._engine_for(child_pid).verifier
-        parent_engine = self._pid_engine.get(parent_pid)
-        parent_ctx = (parent_engine.verifier.contexts.get(parent_pid)
-                      if parent_engine is not None else None)
-        child.open_pid(child_pid, parent_ctx.clone()
-                       if parent_ctx is not None
-                       else self._policy_factory())
+    def open_pid(self, pid: int, context: Policy,
+                 keep_history: bool = False) -> None:
+        # Every live pid has a routing entry: crash_shard and
+        # shard_down_for find its shard through it.
+        self._engine_for(pid)
+        super().open_pid(pid, context, keep_history)
 
     def unregister_process(self, pid: int) -> None:
-        engine = self._pid_engine.get(pid)
-        if engine is not None:
-            engine.verifier.unregister_process(pid)
+        super().unregister_process(pid)
         if self._pid_base is not None:
             self.shard_map.forget(pid - self._pid_base)
 
-    # -- epoch-based GC ------------------------------------------------------
-
-    @property
-    def gc_epochs(self) -> Optional[int]:
-        """Retention window, mirrored onto every shard verifier (see
-        :attr:`Verifier.gc_epochs`).  ``None`` disables reclamation."""
-        return self.shards[0].verifier.gc_epochs
-
-    @gc_epochs.setter
-    def gc_epochs(self, value: Optional[int]) -> None:
-        for engine in self.shards:
-            engine.verifier.gc_epochs = value
-
-    @property
-    def epoch(self) -> int:
-        return self.shards[0].verifier.epoch
-
-    @property
-    def reclaimed_pids(self) -> int:
-        return sum(e.verifier.reclaimed_pids for e in self.shards)
-
-    @property
-    def reclaimed_messages(self) -> int:
-        return sum(e.verifier.reclaimed_messages for e in self.shards)
-
-    @property
-    def reclaimed_violations(self) -> int:
-        return sum(e.verifier.reclaimed_violations for e in self.shards)
-
     def advance_epoch(self) -> List[int]:
-        """Advance every shard's GC epoch in lockstep.
-
-        Reclaimed pids also drop their routing entry in
-        ``_pid_engine`` — the coordinator-side table that would
-        otherwise grow monotonically under session churn.  Emits one
-        aggregate ``gc_reclaim`` observation (shard emits suppressed)
-        so the ``verifier.pid_table_size`` gauge reflects the whole
-        coordinator.
-        """
-        reclaimed: List[int] = []
-        for engine in self.shards:
-            reclaimed.extend(engine.verifier.advance_epoch(observe=False))
+        """:meth:`Verifier.advance_epoch`; reclaimed pids also drop
+        their routing entry, which would otherwise grow monotonically
+        under session churn."""
+        reclaimed = super().advance_epoch()
         for pid in reclaimed:
             self._pid_engine.pop(pid, None)
-        if reclaimed and self._observer is not None:
-            self._observer.gc_reclaim(len(reclaimed),
-                                      self.pid_table_size())
-        return sorted(reclaimed)
-
-    def pid_table_size(self) -> int:
-        """Distinct pids with state on any shard (disjoint by routing)."""
-        return sum(engine.verifier.pid_table_size()
-                   for engine in self.shards)
+        return reclaimed
 
     # -- the main loop -------------------------------------------------------
 
@@ -310,7 +216,7 @@ class ShardedVerifier:
             return 0
         if max_messages is None:
             max_messages = self.poll_budget
-        obs = self._observer
+        obs = self.observer
         start = obs.now() if obs is not None else 0.0
         for channel in self.channels:
             try:
@@ -322,6 +228,7 @@ class ShardedVerifier:
                 if obs is not None:
                     obs.ipc_batch(len(words) // MESSAGE_WORDS)
                 self._route(words)
+        dispatch = self._dispatch_words
         processed = 0
         for engine in self.shards:
             if not engine.alive:
@@ -331,7 +238,7 @@ class ShardedVerifier:
             if remaining is not None and remaining <= 0:
                 break
             occupancy = engine.ring.occupancy_words() // MESSAGE_WORDS
-            drained = engine.drain(remaining)
+            drained = engine.drain(dispatch, remaining)
             processed += drained
             if obs is not None and (drained or occupancy):
                 obs.shard_drain(engine.shard_id, drained, occupancy)
@@ -343,8 +250,6 @@ class ShardedVerifier:
             obs.verifier_poll_event(processed, start)
             obs.note_backlog(self.backlog_size())
         return processed
-
-    flush = Verifier.flush
 
     def _route(self, words: array) -> None:
         """Split one word batch into per-pid runs and enqueue each.
@@ -383,18 +288,8 @@ class ShardedVerifier:
         if engine is not None and n > run_start:
             engine.enqueue(words[run_start:n])
 
-    def _integrity_violation(self, detail: str) -> None:
-        """Transport integrity failure: violation for every live pid,
-        on every shard — corruption on the shared channel indicts the
-        whole stream, not one shard's slice of it."""
-        if self._observer is not None:
-            self._observer.integrity_failure(detail)
-        self.integrity_failures.append(detail)
-        for engine in self.shards:
-            verifier = engine.verifier
-            for pid in list(verifier.contexts):
-                verifier._record_violation(
-                    Violation(pid, "message-integrity", detail))
+    def backlog_size(self) -> int:
+        return sum(engine.backlog_messages() for engine in self.shards)
 
     # -- scoped shard failure ------------------------------------------------
 
@@ -411,14 +306,15 @@ class ShardedVerifier:
         if not engine.alive:
             return engine.shard_id
         engine.alive = False
-        pids = sorted(engine.verifier.contexts)
+        pids = sorted(pid for pid in self.contexts
+                      if self._pid_engine.get(pid) is engine)
         for pid in pids:
-            engine.verifier.violations.setdefault(pid, []).append(
+            self.violations.setdefault(pid, []).append(
                 Violation(pid, "shard-terminated",
                           f"verifier shard {engine.shard_id} died; pid "
                           f"{pid} fail-closed (kill scoped to its shard)"))
-        if self._observer is not None:
-            self._observer.shard_down(engine.shard_id, len(pids))
+        if self.observer is not None:
+            self.observer.shard_down(engine.shard_id, len(pids))
         return engine.shard_id
 
     def shard_down_for(self, pid: int) -> bool:
@@ -437,134 +333,24 @@ class ShardedVerifier:
                 if engine.alive]
         return min(live) if live else 0
 
-    # -- kernel-module interface ---------------------------------------------
-
-    def has_violation(self, pid: int) -> bool:
-        engine = self._pid_engine.get(pid)
-        return engine is not None and engine.verifier.has_violation(pid)
-
-    def acknowledge_violation(self, pid: int) -> None:
-        engine = self._pid_engine.get(pid)
-        if engine is not None:
-            engine.verifier.acknowledge_violation(pid)
-
-    def consume_syscall_token(self, pid: int) -> bool:
-        engine = self._pid_engine.get(pid)
-        return (engine is not None
-                and engine.verifier.consume_syscall_token(pid))
-
-    def has_syscall_token(self, pid: int) -> bool:
-        engine = self._pid_engine.get(pid)
-        return (engine is not None
-                and engine.verifier.has_syscall_token(pid))
-
-    # -- merged views ---------------------------------------------------------
-
-    @property
-    def contexts(self) -> Dict[int, Policy]:
-        merged: Dict[int, Policy] = {}
-        for engine in self.shards:
-            merged.update(engine.verifier.contexts)
-        return merged
-
-    @property
-    def stats(self) -> Dict[int, PolicyStats]:
-        merged: Dict[int, PolicyStats] = {}
-        for engine in self.shards:
-            merged.update(engine.verifier.stats)
-        return merged
-
-    @property
-    def violations(self) -> Dict[int, List[Violation]]:
-        merged: Dict[int, List[Violation]] = {}
-        for engine in self.shards:
-            merged.update(engine.verifier.violations)
-        return merged
-
-    @property
-    def _syscall_tokens(self) -> Dict[int, int]:
-        merged: Dict[int, int] = {}
-        for engine in self.shards:
-            merged.update(engine.verifier._syscall_tokens)
-        return merged
-
-    # -- reporting -------------------------------------------------------------
-
-    def all_violations(self, pid: int) -> List[Violation]:
-        engine = self._pid_engine.get(pid)
-        if engine is not None:
-            return engine.verifier.all_violations(pid)
-        out: List[Violation] = []
-        for shard in self.shards:
-            out.extend(shard.verifier.all_violations(pid))
-        return out
-
-    def total_messages(self) -> int:
-        return sum(engine.verifier.total_messages()
-                   for engine in self.shards)
-
-    def backlog_size(self) -> int:
-        return sum(engine.backlog_messages() for engine in self.shards)
-
-    def terminate(self) -> None:
-        """Whole-coordinator termination (all shards at once)."""
-        self.terminated = True
-        for engine in self.shards:
-            verifier = engine.verifier
-            for pid in verifier._pending_violation:
-                verifier._pending_violation[pid] = True
-
-    # -- crash recovery --------------------------------------------------------
+    # -- crash recovery and lifecycle ------------------------------------------
 
     def restart(self, live_pids: Iterable[int],
                 lost_pids: Iterable[int] = ()) -> List[int]:
-        """Replacement-coordinator bring-up, mirroring
-        :meth:`Verifier.restart`: in-flight words (channel, rings,
-        overflow) are unrecoverable and condemn their senders; live
-        pids re-register with fresh policy contexts; stats and
-        violation history survive.
-
-        Like :meth:`Verifier.restart`, only pids still tracked by the
-        kernel (``live_pids``) can be condemned: a pid that exited
-        between crash and restart has in-flight words discarded with
-        the rest, but no violation is recorded for it and — crucially
-        here — no routing entry or bookkeeping row is resurrected for
-        it, so epoch GC is not re-armed for a dead session."""
-        live = set(live_pids)
+        """:meth:`Verifier.restart`, with the words still in the rings
+        and overflow lost too: they condemn their senders, and every
+        shard comes back up empty."""
         lost = set(lost_pids)
-        for channel in self.channels:
-            for message in channel.resync():
-                lost.add(message.pid)
         for engine in self.shards:
-            words = engine.ring.consume_words()
-            for base in range(0, len(words), MESSAGE_WORDS):
-                lost.add(words[base] >> 32)
-            for base in range(0, len(engine.overflow), MESSAGE_WORDS):
-                lost.add(engine.overflow[base] >> 32)
+            lost.update(w0 >> 32 for w0 in
+                        engine.ring.consume_words()[0::MESSAGE_WORDS])
+            lost.update(w0 >> 32 for w0 in engine.overflow[0::MESSAGE_WORDS])
             del engine.overflow[:]
             engine.ring.ack(engine.ring.consumed())
             engine.alive = True
-            verifier = engine.verifier
-            verifier.terminated = False
-            verifier.contexts.clear()
-            verifier._pending_violation = {}
-            verifier._syscall_tokens = {}
         self._pending_integrity = []
-        self.terminated = False
-        self.restarts += 1
         self._pid_engine = {}
-        for pid in sorted(live):
-            self._engine_for(pid).verifier.open_pid(
-                pid, self._policy_factory(), keep_history=True)
-        killed = sorted(lost & live)
-        for pid in killed:
-            self._engine_for(pid).verifier._record_violation(Violation(
-                pid, "verifier-restart",
-                "in-flight messages lost across verifier restart "
-                "(fail closed)"))
-        return killed
-
-    # -- lifecycle -------------------------------------------------------------
+        return super().restart(live_pids, lost)
 
     def close(self) -> None:
         """Release every shard's ring segment (idempotent)."""

@@ -101,8 +101,8 @@ class Verifier:
         """Open ``pid``'s per-pid rows with ``context`` as its policy.
 
         The one place a pid becomes live: register, fork and restart
-        all come through here, on a single verifier or on the owning
-        shard.  ``keep_history`` (restart) keeps existing stats and
+        all come through here, on a single verifier or on the sharded
+        coordinator.  ``keep_history`` (restart) keeps existing stats and
         violations; otherwise they start empty.
         """
         self.contexts[pid] = context
@@ -147,7 +147,7 @@ class Verifier:
 
     # -- epoch-based GC of reporting history --------------------------------
 
-    def advance_epoch(self, observe: bool = True) -> List[int]:
+    def advance_epoch(self) -> List[int]:
         """Advance the GC epoch; reclaim state of long-exited pids.
 
         With ``gc_epochs = N``, a pid that unregistered in epoch E is
@@ -182,7 +182,7 @@ class Verifier:
             self._syscall_tokens.pop(pid, None)
         if reclaimed:
             self.reclaimed_pids += len(reclaimed)
-            if observe and self.observer is not None:
+            if self.observer is not None:
                 self.observer.gc_reclaim(len(reclaimed),
                                          self.pid_table_size())
         return sorted(reclaimed)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.core.shard_verifier import ShardedVerifier
 from repro.core.verifier import Verifier
 from repro.faults.plan import FaultPlan
 
@@ -59,10 +60,10 @@ class FaultyVerifier:
             # coordinator and the other shards keep running.  Against a
             # single verifier the kind is inert by design (the sweep
             # asserts scoping, and there is nothing to scope to).
-            crash = getattr(self.inner, "crash_shard", None)
-            if crash is not None:
+            if isinstance(self.inner, ShardedVerifier):
                 self.shard_crashes += 1
-                self.crashed_shard = crash(self.plan.shard_pick)
+                self.crashed_shard = self.inner.crash_shard(
+                    self.plan.shard_pick)
         return self.inner.poll(max_messages)
 
     def __getattr__(self, name: str):

@@ -48,10 +48,10 @@ class VerifierLiaison(Protocol):
     """The kernel module's view of the verifier.
 
     This is the privileged kernel↔verifier channel of Figure 1, declared
-    once.  :class:`~repro.core.verifier.Verifier` and
-    :class:`~repro.core.shard_verifier.ShardedVerifier` implement it, and
-    the fault injector's :class:`~repro.faults.FaultyVerifier` forwards
-    it.  ``poll`` honours ``poll_budget`` (``None``: unbounded) when
+    once.  :class:`~repro.core.verifier.Verifier` implements it, its
+    :class:`~repro.core.shard_verifier.ShardedVerifier` subclass swaps
+    only the transport, and :class:`~repro.faults.FaultyVerifier`
+    forwards it.  ``poll`` honours ``poll_budget`` (``None``: unbounded) when
     called without a limit; ``flush`` always drains everything.
     """
 

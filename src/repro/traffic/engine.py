@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cfi.hq_cfi import HQCFIPolicy
 from repro.core.runtime import HQRuntime
+from repro.core.shard_verifier import ShardedVerifier
 from repro.core.stack import MonitoredStack
 from repro.sim.cpu import (ProcessKilledError, SYS_EXIT, SYS_FORK, SYS_WIN)
 from repro.sim.cycles import AccountingMode, ns_to_cycles
@@ -370,9 +371,9 @@ class TrafficEngine:
         if kind == "verifier-crash":
             self.verifier.terminate()
         elif kind == "shard-crash":
-            crash = getattr(self.verifier, "crash_shard", None)
-            if crash is not None:
-                crash(self.rng.randrange(len(self.verifier.shards)))
+            if isinstance(self.verifier, ShardedVerifier):
+                self.verifier.crash_shard(
+                    self.rng.randrange(len(self.verifier.shards)))
         elif kind == "channel-corrupt":
             # An opcode the wire codec does not know: the verifier must
             # treat the stream as corrupt and fail closed on every live

@@ -20,13 +20,36 @@ from tests.test_sharding import _StubChannel
 
 
 @pytest.fixture
-def setup():
-    verifier = Verifier(HQCFIPolicy)
+def kind():
+    """The front :func:`setup` builds (see :func:`_front`); a test
+    covering several fronts parametrizes it."""
+    return "verifier"
+
+
+@pytest.fixture
+def setup(kind):
+    verifier = _front(kind)
     channel = AppendWriteUArch()
     verifier.attach_channel(channel)
     process = Process()
     verifier.register_process(process.pid)
-    return verifier, channel, process
+    yield verifier, channel, process
+    verifier.close()
+
+
+#: The two fronts that own per-pid tables: a single verifier and the
+#: sharded coordinator, which inherits every table-facing member.
+EVERY_FRONT = pytest.mark.parametrize("kind", ["verifier", "sharded"])
+
+
+def _pid_on_another_shard(front, pid):
+    """A pid the front routes to a different shard than ``pid`` (the
+    next pid, for a single verifier)."""
+    other = pid + 1
+    if isinstance(front, ShardedVerifier):
+        while front.shard_of(other) == front.shard_of(pid):
+            other += 1
+    return other
 
 
 class TestLifecycle:
@@ -48,6 +71,17 @@ class TestLifecycle:
         # The child's context knows the parent's pointers.
         child = verifier.contexts[4242]
         assert child.table.check(0x10, 0x20) is None
+
+    @EVERY_FRONT
+    def test_fork_across_shards_clones_parent_context(self, setup, kind):
+        verifier, channel, process = setup
+        channel.send(process, msg.pointer_define(0x10, 0x20))
+        verifier.poll()
+        child = _pid_on_another_shard(verifier, process.pid)
+        verifier.fork_process(process.pid, child)
+        clone = verifier.contexts[child]
+        assert clone is not verifier.contexts[process.pid]
+        assert clone.table.check(0x10, 0x20) is None
 
     def test_fork_of_unknown_parent_gets_fresh_context(self):
         verifier = Verifier(HQCFIPolicy)
@@ -78,6 +112,21 @@ class TestDispatch:
         assert not verifier.has_violation(process.pid)
         # The historical record stays.
         assert verifier.all_violations(process.pid)
+
+    @EVERY_FRONT
+    def test_acknowledged_violation_continues(self, setup, kind):
+        """Continue-on-violation: after the kernel acknowledges, the
+        pid's later messages are still checked and re-raise the flag."""
+        verifier, channel, process = setup
+        channel.send(process, msg.pointer_check(0x10, 0x999))
+        verifier.poll()
+        verifier.acknowledge_violation(process.pid)
+        assert not verifier.has_violation(process.pid)
+        channel.send(process, msg.pointer_define(0x10, 0x20))
+        channel.send(process, msg.pointer_check(0x18, 0x20))
+        assert verifier.poll() == 2
+        assert verifier.has_violation(process.pid)
+        assert len(verifier.all_violations(process.pid)) == 2
 
     def test_unknown_pid_messages_ignored(self, setup):
         verifier, channel, _ = setup
@@ -123,6 +172,18 @@ class TestSyscallTokens:
         verifier.poll()
         assert verifier.consume_syscall_token(process.pid)
         assert verifier.consume_syscall_token(process.pid)
+        assert not verifier.consume_syscall_token(process.pid)
+
+    @EVERY_FRONT
+    def test_probe_does_not_consume(self, setup, kind):
+        verifier, channel, process = setup
+        assert not verifier.has_syscall_token(process.pid)
+        channel.send(process, msg.syscall_message(1))
+        verifier.poll()
+        assert verifier.has_syscall_token(process.pid)
+        assert verifier.has_syscall_token(process.pid)
+        assert verifier.consume_syscall_token(process.pid)
+        assert not verifier.has_syscall_token(process.pid)
         assert not verifier.consume_syscall_token(process.pid)
 
     def test_ordering_guarantee(self, setup):
@@ -239,6 +300,16 @@ class TestIntegrity:
         assert verifier.has_violation(process.pid)
         assert verifier.poll() == 0
 
+    @EVERY_FRONT
+    def test_terminate_flags_every_registered_pid(self, setup, kind):
+        verifier, _, process = setup
+        other = _pid_on_another_shard(verifier, process.pid)
+        verifier.register_process(other)
+        assert not verifier.has_violation(other)
+        verifier.terminate()
+        assert verifier.has_violation(process.pid)
+        assert verifier.has_violation(other)
+
 
 def _front(kind):
     """A kernel-facing verifier front of the given kind."""
@@ -290,5 +361,29 @@ class TestEpochGC:
             front.poll()
             assert [v.kind for v in front.all_violations(5)] == [
                 "cfi-pointer-integrity"]
+        finally:
+            front.close()
+
+    @EVERY_FRONT
+    def test_totals_include_reclaimed_pids(self, kind):
+        front = _front(kind)
+        channel = _StubChannel()
+        front.attach_channel(channel)
+        front.gc_epochs = 1
+        try:
+            front.register_process(10)
+            other = _pid_on_another_shard(front, 10)
+            front.register_process(other)
+            define = (int(Op.POINTER_DEFINE), 0x10, 0x20, 0)
+            channel.push(pack_stream(10, [define]) + pack_stream(other, [
+                define, (int(Op.POINTER_CHECK), 0x10, 0x666, 0)]))
+            assert front.poll() == 3
+            front.unregister_process(other)
+            assert front.pid_table_size() == 2
+            assert front.advance_epoch() == [other]
+            assert front.pid_table_size() == 1
+            assert front.total_messages() == 3
+            assert (front.reclaimed_pids, front.reclaimed_messages,
+                    front.reclaimed_violations) == (1, 2, 1)
         finally:
             front.close()
