@@ -126,10 +126,6 @@ def main(argv=None) -> int:
                         help="run every benchmark with the observability "
                              "layer on (metrics reports persist through "
                              "the run cache; separate cache keys)")
-    parser.add_argument("--perf-profile", default=None, metavar="PATH",
-                        help="also fold the phase timings into the "
-                             "unified perf profile at PATH "
-                             "(repro.perf.profile.write)")
     args = parser.parse_args(argv)
 
     if args.observe:
@@ -175,8 +171,7 @@ def main(argv=None) -> int:
     print(f"wall time: {timer.total:.2f}s (jobs={jobs})")
     if args.timing_report != "-":
         payload = timer.write(args.timing_report, jobs,
-                              vars(stats) if stats is not None else None,
-                              perf_profile=args.perf_profile)
+                              vars(stats) if stats is not None else None)
         print(f"timing report: {args.timing_report} "
               f"(speedup vs seed serial: {payload['speedup_vs_seed']}x)")
     return 0

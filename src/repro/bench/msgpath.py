@@ -1,6 +1,6 @@
 """Message-path microbenchmark CLI: ``python -m repro.bench.msgpath``.
 
-Measures messages/second through the HerQules message path at three
+Measures messages/second through the HerQules message path at two
 levels, writing ``BENCH_msgpath.json`` next to ``BENCH_pipeline.json``:
 
 * ``channel:<primitive>`` — raw transport throughput: send + periodic
@@ -12,9 +12,9 @@ levels, writing ``BENCH_msgpath.json`` next to ``BENCH_pipeline.json``:
   ``policy:hq-cfi`` entry is the paper's hot path (define/check
   pointer-integrity traffic) and the configuration the ≥5x acceptance
   target is measured on.
-* ``e2e:<design>:<channel>`` — a full :func:`run_program` execution of
-  a generated SPEC-like workload, reporting both messages/sec and
-  interpreter steps/sec.
+
+Whole-program throughput is perfbench's business (``BENCHMARK.json``),
+not this microbenchmark's.
 
 The harness is *feature-detecting*: it drives ``Channel.send_raw`` /
 ``receive_words`` (the flat packed word-stream path) when the running
@@ -29,16 +29,9 @@ Flags:
 * ``--json`` — machine-readable output on stdout.
 * ``--messages N`` — override the per-benchmark message count.
 * ``--out PATH`` — where to write the JSON report ('-' to skip).
+* ``--rounds N`` — timing repeats per benchmark (best round kept).
 * ``--baseline PATH`` — embed a previously captured report as the
   comparison baseline and compute per-benchmark speedups.
-* ``--check PATH [--tolerance F]`` — regression guard: exit non-zero
-  if any benchmark's msgs/sec drops more than ``F`` (default 0.30)
-  below the committed report at PATH.  A ``--quick`` run is judged
-  against the report's ``quick_benchmarks`` section (quick-mode
-  throughput is systematically lower than full-size, so quick CI runs
-  compare like-for-like).
-* ``--update-quick PATH`` — refresh that ``quick_benchmarks`` section
-  from the current ``--quick`` run.
 """
 
 from __future__ import annotations
@@ -49,9 +42,7 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.bench.timing import (best_of, emit_perf_profile,
-                                floor_failures, reference_benchmarks,
-                                update_quick_section)
+from repro.bench.timing import best_of
 from repro.core.messages import Message, Op
 from repro.core.verifier import Verifier
 from repro.ipc.registry import create_channel
@@ -70,8 +61,7 @@ HOT_PATH = "policy:hq-cfi"
 
 #: Timing repeats per channel/policy benchmark: the best of N rounds is
 #: reported — the standard defence against scheduler noise when timing
-#: sub-second loops.  The e2e benchmark runs once: it is interpreter-
-#: bound and long enough to amortize noise.
+#: sub-second loops.
 ROUNDS = 3
 
 #: Default message counts.
@@ -250,25 +240,7 @@ def bench_policy(name: str, factory: Callable,
             "path": "words" if send_raw is not None else "objects"}
 
 
-def bench_e2e(design: str = "hq-sfestk", channel: str = "uarch",
-              quick: bool = False) -> Dict[str, object]:
-    """Full run_program throughput on a message-heavy generated workload."""
-    from repro.core.framework import run_program
-    from repro.workloads.generator import build_module
-    from repro.workloads.profiles import get_profile
-    profile = get_profile("453.povray")   # dense icall/check traffic
-    module = build_module(profile, dataset="train" if quick else "ref")
-    start = time.perf_counter()
-    result = run_program(module, design=design, channel=channel,
-                         kill_on_violation=False)
-    elapsed = time.perf_counter() - start
-    return {"messages": result.messages_sent, "elapsed_s": elapsed,
-            "msgs_per_sec": result.messages_sent / elapsed if elapsed else 0.0,
-            "steps_per_sec": result.steps / elapsed if elapsed else 0.0,
-            "outcome": result.outcome, "steps": result.steps}
-
-
-def run_suite(messages: int, quick: bool,
+def run_suite(messages: int,
               rounds: int = ROUNDS) -> Dict[str, Dict[str, object]]:
     benchmarks: Dict[str, Dict[str, object]] = {}
     channel_messages = max(1, messages // 2)
@@ -280,12 +252,11 @@ def run_suite(messages: int, quick: bool,
         benchmarks[f"policy:{name}"] = best_of(
             rounds, lambda n=name, f=factory, s=stream: bench_policy(
                 n, f, s, messages))
-    benchmarks["e2e:hq-sfestk:uarch"] = bench_e2e(quick=quick)
     return benchmarks
 
 
 # ---------------------------------------------------------------------------
-# Reporting / regression guard
+# Reporting
 # ---------------------------------------------------------------------------
 
 def build_report(benchmarks: Dict[str, Dict[str, object]], messages: int,
@@ -315,29 +286,6 @@ def build_report(benchmarks: Dict[str, Dict[str, object]], messages: int,
     return report
 
 
-def check_regression(benchmarks: Dict[str, Dict[str, object]],
-                     committed_path: str, tolerance: float,
-                     quick: bool = False) -> List[str]:
-    """Compare against a committed report; list the benchmarks that
-    regressed by more than ``tolerance`` (fraction of msgs/sec).
-
-    A quick run is judged against the committed report's
-    ``quick_benchmarks`` section when present: quick-mode throughput is
-    systematically below full-size throughput (less warm-up
-    amortization per message), so comparing a ``--quick`` CI run
-    against full-size references would flag phantom regressions.
-    """
-    with open(committed_path) as fh:
-        committed = json.load(fh)
-    reference_set = reference_benchmarks(committed, quick)
-    return floor_failures(
-        {key: entry.get("msgs_per_sec")
-         for key, entry in benchmarks.items()},
-        {key: entry.get("msgs_per_sec")
-         for key, entry in reference_set.items()},
-        tolerance)
-
-
 def format_human(report: dict) -> str:
     lines = ["message-path throughput (msgs/sec)", ""]
     speedups = report.get("speedup_vs_baseline", {})
@@ -346,8 +294,6 @@ def format_human(report: dict) -> str:
         extra = ""
         if key in speedups:
             extra = f"   {speedups[key]:.2f}x vs baseline"
-        if key.startswith("e2e"):
-            extra += f"   ({entry['steps_per_sec']:,.0f} steps/s)"
         marker = "  <- hot path" if key == report["hot_path"] else ""
         lines.append(f"  {key:<{width}}  {entry['msgs_per_sec']:>12,.0f}"
                      f"{extra}{marker}")
@@ -373,24 +319,7 @@ def main(argv=None) -> int:
     parser.add_argument("--baseline", default=None, metavar="PATH",
                         help="embed PATH (a previous report) as the "
                              "comparison baseline")
-    parser.add_argument("--check", default=None, metavar="PATH",
-                        help="regression guard: fail if msgs/sec drops more "
-                             "than --tolerance below the report at PATH")
-    parser.add_argument("--tolerance", type=float, default=0.30,
-                        help="allowed fractional drop for --check "
-                             "(default: %(default)s)")
-    parser.add_argument("--update-quick", default=None, metavar="PATH",
-                        help="merge this --quick run's numbers into the "
-                             "committed report at PATH as its "
-                             "quick_benchmarks section (the reference "
-                             "--check uses for quick runs)")
-    parser.add_argument("--perf-profile", default=None, metavar="PATH",
-                        help="also fold the numbers into the unified "
-                             "perf profile at PATH "
-                             "(repro.perf.profile.write)")
     args = parser.parse_args(argv)
-    if args.update_quick and not args.quick:
-        parser.error("--update-quick requires --quick")
 
     messages = args.messages or (QUICK_MESSAGES if args.quick
                                  else FULL_MESSAGES)
@@ -399,7 +328,7 @@ def main(argv=None) -> int:
         with open(args.baseline) as fh:
             baseline = json.load(fh)
 
-    benchmarks = run_suite(messages, quick=args.quick, rounds=args.rounds)
+    benchmarks = run_suite(messages, rounds=args.rounds)
     report = build_report(benchmarks, messages, args.quick, baseline)
 
     if args.out != "-":
@@ -412,24 +341,6 @@ def main(argv=None) -> int:
     else:
         print(format_human(report))
 
-    if args.update_quick:
-        update_quick_section(args.update_quick, benchmarks, messages)
-
-    if args.perf_profile:
-        emit_perf_profile(args.perf_profile, "msgpath", report,
-                          quick=args.quick,
-                          meta={"messages": messages})
-
-    if args.check:
-        failures = check_regression(benchmarks, args.check, args.tolerance,
-                                    quick=args.quick)
-        if failures:
-            print("\nthroughput regression detected:", file=sys.stderr)
-            for failure in failures:
-                print(f"  {failure}", file=sys.stderr)
-            return 2
-        print(f"\nregression guard: ok (tolerance {args.tolerance:.0%} "
-              f"vs {args.check})")
     return 0
 
 

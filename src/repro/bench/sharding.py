@@ -31,9 +31,9 @@ busiest shard's share of the message volume caps the speedup at
 balance regression is visible, not silently folded into the ratio.
 
 Flags mirror ``repro.bench.msgpath``: ``--quick`` (CI-sized),
-``--shards 1,2,4,8``, ``--json``, ``--out``, ``--check PATH``
-(regression guard: per-point throughput floors *plus* the 2-shard /
-1-shard scaling floor of ``--min-scaling``), ``--update-quick PATH``.
+``--shards 1,2,4,8``, ``--json``, ``--out``, and ``--min-scaling S``
+(hard floor: exit non-zero if the fresh 2-shard / 1-shard scaling is
+below ``S``).
 """
 
 from __future__ import annotations
@@ -46,9 +46,6 @@ from array import array
 from typing import Dict, List
 
 from repro.bench.msgpath import _cfi_stream
-from repro.bench.timing import (emit_perf_profile, floor_failures,
-                                reference_benchmarks,
-                                update_quick_section)
 from repro.core.messages import MESSAGE_WORDS, _MASK32, _MASK64
 from repro.core.sharding import ShardMap
 from repro.core.shard_verifier import ShardWorker
@@ -74,9 +71,6 @@ PUBLISH_BLOCK = 512
 
 #: The policy every worker runs: the paper's hot path.
 POLICY = "hq-cfi"
-
-#: Floor for the 2-shard / 1-shard scaling ratio enforced by --check.
-MIN_SCALING_2 = 1.4
 
 
 def pack_stream(pid: int, events) -> array:
@@ -211,26 +205,6 @@ def scaling_floor_failures(benchmarks: Dict[str, Dict[str, object]],
     return []
 
 
-def check_regression(benchmarks: Dict[str, Dict[str, object]],
-                     committed_path: str, tolerance: float,
-                     min_scaling: float, quick: bool) -> List[str]:
-    """Guard both absolute throughput and the scaling shape: the
-    per-point tolerance floors vs the committed report (its
-    ``quick_benchmarks`` section for quick runs) plus the 2-shard
-    scaling floor."""
-    failures = scaling_floor_failures(benchmarks, min_scaling)
-    with open(committed_path) as fh:
-        committed = json.load(fh)
-    reference_set = reference_benchmarks(committed, quick)
-    failures += floor_failures(
-        {key: entry.get("msgs_per_sec")
-         for key, entry in benchmarks.items()},
-        {key: entry.get("msgs_per_sec")
-         for key, entry in reference_set.items()},
-        tolerance)
-    return failures
-
-
 def format_human(report: dict) -> str:
     lines = ["sharded-verifier aggregate throughput "
              "(msgs/sec, dedicated-core model)", ""]
@@ -275,29 +249,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="BENCH_sharding.json",
                         help="report path (default: %(default)s; "
                              "'-' skips)")
-    parser.add_argument("--check", default=None, metavar="PATH",
-                        help="regression guard: fail on throughput drops "
-                             "beyond --tolerance vs PATH, or 2-shard "
-                             "scaling below --min-scaling")
-    parser.add_argument("--tolerance", type=float, default=0.35,
-                        help="allowed fractional throughput drop for "
-                             "--check (default: %(default)s)")
     parser.add_argument("--min-scaling", type=float, default=None,
-                        help="2-shard/1-shard scaling floor, asserted "
-                             "on the fresh numbers even without "
-                             "--check (default with --check: "
-                             f"{MIN_SCALING_2})")
-    parser.add_argument("--update-quick", default=None, metavar="PATH",
-                        help="merge this --quick run's numbers into the "
-                             "committed report at PATH as its "
-                             "quick_benchmarks section")
-    parser.add_argument("--perf-profile", default=None, metavar="PATH",
-                        help="also fold the numbers into the unified "
-                             "perf profile at PATH "
-                             "(repro.perf.profile.write)")
+                        help="hard floor: exit non-zero if the fresh "
+                             "2-shard/1-shard scaling is below this")
     args = parser.parse_args(argv)
-    if args.update_quick and not args.quick:
-        parser.error("--update-quick requires --quick")
 
     shard_counts = args.shards or (list(QUICK_SHARDS) if args.quick
                                    else list(FULL_SHARDS))
@@ -317,32 +272,7 @@ def main(argv=None) -> int:
     else:
         print(format_human(report))
 
-    if args.update_quick:
-        update_quick_section(args.update_quick, benchmarks,
-                             total_messages,
-                             quick_scaling=scaling_table(benchmarks))
-
-    if args.perf_profile:
-        emit_perf_profile(args.perf_profile, "sharding", report,
-                          quick=args.quick,
-                          meta={"messages": total_messages})
-
-    min_scaling = (args.min_scaling if args.min_scaling is not None
-                   else MIN_SCALING_2)
-    if args.check:
-        failures = check_regression(benchmarks, args.check, args.tolerance,
-                                    min_scaling, quick=args.quick)
-        if failures:
-            print("\nsharding regression detected:", file=sys.stderr)
-            for failure in failures:
-                print(f"  {failure}", file=sys.stderr)
-            return 2
-        print(f"\nregression guard: ok (tolerance {args.tolerance:.0%}, "
-              f"min 2-shard scaling {min_scaling:.2f}x, "
-              f"vs {args.check})")
-    elif args.min_scaling is not None:
-        # Standalone hard floor (CI's cheap job-local sanity assert;
-        # trajectory regressions are the unified perf gate's business).
+    if args.min_scaling is not None:
         failures = scaling_floor_failures(benchmarks, args.min_scaling)
         if failures:
             print("\nscaling floor FAILED:", file=sys.stderr)

@@ -1,6 +1,6 @@
 """Light-weight contexts (LWC): disjoint-address-space messaging.
 
-Litton et al.'s light-weight contexts [70] provide isolated snapshots
+Litton et al.'s light-weight contexts [70] provide isolated address spaces
 within one process; switching between them reconfigures the MMU and
 costs ~2010 ns per switch — and message delivery needs a switch *to*
 the verifier context and another one *back* (section 2.3: the cost

@@ -2,33 +2,31 @@
 
 Subcommands:
 
-* ``record`` — build a unified profile from bench report files (or the
-  committed ``BENCH_*.json`` snapshots) and append it to
+* ``record`` -- measure this tree with perfbench (every workload in
+  ``BENCHMARK.json``, untraced then traced) and append the profile to
   ``perf_history/`` as this commit's entry.
-* ``log`` — list the recorded history; ``--metric NAME`` prints one
+* ``log`` -- list the recorded history; ``--metric NAME`` prints one
   metric's per-commit trajectory.
-* ``diff`` — deterministic metric-level diff between two history
-  entries (by index or commit prefix) or arbitrary report files.
-* ``check`` — the CI perf gate: compare the current reports against a
-  baseline (``--against`` a git ref, a profile file, or a directory of
-  committed snapshots) under the tolerance policy, run the obs
-  exact-diff contract, and run the degradation detectors over the
-  ``perf_history/`` trajectory; non-zero exit on any failure, naming
-  the metric, the magnitude, and the first degraded commit.
+* ``diff`` -- deterministic metric-level diff between two history
+  entries (by index or commit prefix) or profile files.
+* ``check`` -- the CI perf gate: measure with perfbench, compare against
+  a baseline (``--against`` a profile file or a history index/commit
+  prefix; default the newest history entry) under the ``BENCHMARK.json``
+  bounds, and run the degradation detectors over the ``perf_history/``
+  trajectory; non-zero exit on any failure, naming the metric, the
+  magnitude, the layer that grew most, and the first degraded commit.
+
+Run from the repository root (``BENCHMARK.json`` and ``perf_history/``
+are read from the working directory).  ``--report PATH`` substitutes a
+``repro.perf/1`` profile for the perfbench measurement.
 
 Examples::
 
-    # Record the committed snapshots as this commit's history entry.
-    python -m repro.perf record --from-committed
+    # Record this commit's history entry (about 3.5 minutes).
+    python -m repro.perf record
 
-    # Record a nightly full-bench run from its report files.
-    python -m repro.perf record --report msgpath_report.json \\
-        --report sharding_report.json --report obs_report.json
-
-    # The CI gate (quick mode, artifacts downloaded into artifacts/).
-    python -m repro.perf check --quick \\
-        --report artifacts/msgpath_report.json ... \\
-        --against . --history perf_history \\
+    # The CI gate.
+    python -m repro.perf check --history perf_history \\
         --profile-out perf_profile.json --markdown "$GITHUB_STEP_SUMMARY"
 """
 
@@ -36,52 +34,46 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Dict, List, Optional
 
-from repro.perf import gate, snapshots, store
+from repro.perf import gate, runner, store
 from repro.perf import profile as profile_mod
 from repro.perf.profile import Metric
 
 
-def _load_reports(paths: List[str], quick: bool
-                  ) -> tuple[Dict[str, Metric], Dict[str, dict]]:
-    """Merged metrics + raw payloads (keyed by sniffed source)."""
-    metrics: Dict[str, Metric] = {}
-    raw: Dict[str, dict] = {}
-    for path in paths:
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        source, _adapter = snapshots.sniff(payload)
-        raw[source] = payload
-        metrics.update(snapshots.metrics_from_payload(payload,
-                                                      quick=quick))
-    return metrics, raw
-
-
-def _build_profile(args: argparse.Namespace
-                   ) -> tuple[dict, Dict[str, dict]]:
-    """The current profile from ``--report``s / committed snapshots."""
+def _build_profile(args: argparse.Namespace) -> Optional[dict]:
+    """The current profile: perfbench's numbers, or ``--report``'s.
+    ``None`` (after saying why) when a perfbench run failed."""
     if args.report:
-        metrics, raw = _load_reports(args.report, args.quick)
+        metrics = profile_mod.metrics_of(profile_mod.load(args.report))
+        sources = {"report": {"path": args.report}}
     else:
-        metrics, raw = snapshots.collect_committed(".", quick=args.quick)
-    if not metrics:
-        raise SystemExit("no metrics found: pass --report PATH (a bench "
-                         "report or profile) or run from a repo root "
-                         "with committed BENCH_*.json snapshots")
+        benchmark = runner.load_benchmark()
+        try:
+            metrics = runner.run_perfbench(benchmark)
+        except runner.PerfbenchFailed as error:
+            print(f"perf {args.command}: {error}\n"
+                  f"perf {args.command}: nothing written", file=sys.stderr)
+            return None
+        sources = {"perfbench": {"command": benchmark["command"],
+                                 "seed": runner.SEED,
+                                 "run_seconds": benchmark["run_seconds"]}}
     from repro.bench.table6 import source_lines
     # Informational: non-comment source lines of the package.
     metrics["code.sloc"] = Metric(float(source_lines()), unit="lines",
                                   direction=profile_mod.LOWER)
-    env = profile_mod.environment(commit=args.commit, quick=args.quick)
-    prof = profile_mod.new_profile(metrics, env=env)
-    prof["sources"] = {source: {"format": "report"} for source in raw}
-    return prof, raw
+    prof = profile_mod.new_profile(
+        metrics, env=profile_mod.environment(commit=args.commit))
+    prof["sources"] = sources
+    return prof
 
 
 def cmd_record(args: argparse.Namespace) -> int:
-    prof, _raw = _build_profile(args)
+    prof = _build_profile(args)
+    if prof is None:
+        return 1
     path = store.record(prof, history_dir=args.history,
                         commit=args.commit)
     count = len(prof["metrics"])
@@ -105,17 +97,20 @@ def cmd_log(args: argparse.Namespace) -> int:
     return 0
 
 
+def _resolve(ref: str, history: List[store.Entry]
+             ) -> tuple[Dict[str, Metric], str]:
+    """A profile path, or a history entry by index or commit prefix."""
+    if os.path.isfile(ref):
+        return (profile_mod.metrics_of(profile_mod.load(ref)),
+                f"profile {ref!r}")
+    entry = store.resolve_entry(history, ref)
+    return entry.metrics, f"history entry {entry.index:04d} ({entry.commit})"
+
+
 def cmd_diff(args: argparse.Namespace) -> int:
-    import os
     history = store.entries(args.history)
-
-    def resolve(ref: str) -> Dict[str, Metric]:
-        if os.path.exists(ref):
-            return snapshots.load_report(ref, quick=args.quick)
-        return store.resolve_entry(history, ref).metrics
-
-    old = resolve(args.old)
-    new = resolve(args.new)
+    old, _ = _resolve(args.old, history)
+    new, _ = _resolve(args.new, history)
     lines = store.diff_lines(old, new)
     if not lines:
         print(f"no metric differences ({args.old} vs {args.new})")
@@ -126,20 +121,23 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    prof, current_raw = _build_profile(args)
-    current = profile_mod.metrics_of(prof)
-    try:
-        baseline, baseline_raw, desc = snapshots.resolve_baseline(
-            args.against, quick=args.quick)
-    except FileNotFoundError as error:
-        print(f"perf check: {error}", file=sys.stderr)
-        return 2
+    bounds = runner.e2e_bounds(runner.load_benchmark())
     history = store.entries(args.history)
+    try:
+        if args.against is None and not history:
+            raise KeyError(f"{args.history!r} holds no entry")
+        baseline, desc = _resolve(args.against or str(history[-1].index),
+                                  history)
+    except KeyError as error:
+        print(f"perf check: no baseline: {error}", file=sys.stderr)
+        return 2
+    prof = _build_profile(args)
+    if prof is None:
+        return 1
+    current = profile_mod.metrics_of(prof)
     commit = str(prof["environment"].get("commit", "worktree"))
-    result = gate.run_gate(
-        current, baseline, desc, history,
-        quick=args.quick, current_commit=commit[:12],
-        baseline_raw=baseline_raw, current_raw=current_raw)
+    result = gate.run_gate(current, baseline, desc, history,
+                           bounds=bounds, current_commit=commit[:12])
 
     if args.profile_out:
         profile_mod.dump(prof, args.profile_out)
@@ -163,20 +161,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def _add_current_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--report", action="append", default=[],
-                        metavar="PATH",
-                        help="a bench report or profile contributing "
-                             "current metrics (repeatable; sniffed by "
-                             "format)")
-    parser.add_argument("--from-committed", action="store_true",
-                        default=None,
-                        help="build the current profile from the "
-                             "committed BENCH_*.json snapshots "
-                             "(default when no --report is given)")
-    parser.add_argument("--quick", action="store_true",
-                        help="quick-mode run: compare against committed "
-                             "quick_benchmarks sections and quick "
-                             "history entries only")
+    parser.add_argument("--report", default=None, metavar="PATH",
+                        help="use this repro.perf/1 profile instead of "
+                             "measuring with perfbench")
     parser.add_argument("--commit", default=None, metavar="SHA",
                         help="commit sha to stamp (default: git HEAD)")
     parser.add_argument("--history", default=store.DEFAULT_DIR,
@@ -193,7 +180,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_record = sub.add_parser(
-        "record", help="record a profile into perf_history/")
+        "record", help="measure with perfbench and record the profile "
+                       "into perf_history/")
     _add_current_args(p_record)
     p_record.set_defaults(func=cmd_record)
 
@@ -206,22 +194,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_log.set_defaults(func=cmd_log)
 
     p_diff = sub.add_parser(
-        "diff", help="metric-level diff between two entries or reports")
-    p_diff.add_argument("old", help="history index/commit or report path")
-    p_diff.add_argument("new", help="history index/commit or report path")
+        "diff", help="metric-level diff between two entries or profiles")
+    p_diff.add_argument("old", help="history index/commit or profile path")
+    p_diff.add_argument("new", help="history index/commit or profile path")
     p_diff.add_argument("--history", default=store.DEFAULT_DIR,
                         metavar="DIR")
-    p_diff.add_argument("--quick", action="store_true")
     p_diff.set_defaults(func=cmd_diff)
 
     p_check = sub.add_parser(
         "check", help="the unified perf gate (non-zero exit on "
                       "regression)")
     _add_current_args(p_check)
-    p_check.add_argument("--against", default=".", metavar="REF",
-                         help="baseline: a git ref, a profile file, or "
-                              "a directory with committed BENCH_*.json "
-                              "snapshots (default: '.')")
+    p_check.add_argument("--against", default=None, metavar="REF",
+                         help="baseline: a profile file, or a history "
+                              "index or commit prefix (default: the "
+                              "newest history entry)")
     p_check.add_argument("--profile-out", default=None, metavar="PATH",
                          help="also write the current unified profile")
     p_check.add_argument("--markdown", default=None, metavar="PATH",

@@ -1,66 +1,57 @@
-"""The unified CI perf gate: ``python -m repro.perf check``.
+"""The CI perf gate: ``python -m repro.perf check``.
 
-One invocation replaces the five scattered ``--check``/``--tolerance``
-calls CI used to make (msgpath 30%, interp 30%, sharding 35%, obs 10%,
-traffic SLO band):
+The current profile comes from perfbench (:mod:`repro.perf.runner`);
+the baseline is a ``perf_history/`` entry or a profile file.  Two
+passes:
 
-1. **Baseline comparison** — every current metric is compared against
-   the resolved ``--against`` baseline under a per-family tolerance
-   policy; a degradation beyond tolerance fails with the metric name
-   and magnitude.  Improvements never fail.  Families whose tolerance
-   is ``None`` (pipeline wall times, traffic wall time) are reported
-   but never gate: wall-clock on shared runners is information, not a
-   contract.
-2. **Obs exactness** — when both sides provide a raw obs report, the
-   established :func:`repro.obs.diff.diff_reports` contract (exact
-   counters/gauges, 10% timing histograms) runs inside this same gate.
-3. **History detectors** — every current metric's per-commit trajectory
-   from ``perf_history/`` (same quick/full mode only), extended with
-   the current value, runs through the trend and mean-shift detectors,
-   so a 5%-per-PR bleed that passes every per-step tolerance still
-   fails here, naming the first degraded commit.
+1. **Baseline comparison** -- every current metric is compared against
+   the baseline.  A ``perfbench.<workload>.<metric>`` end-to-end metric
+   gates at its ``BENCHMARK.json`` bound; a degradation beyond it fails
+   with the metric, the magnitude, and the workload's layer whose
+   ``self_s`` grew the most.  Per-layer metrics and ``code.*`` are
+   informational.  Improvements never fail.
+2. **History detectors** -- every gated metric's per-commit trajectory
+   from ``perf_history/``, extended with the current value, runs
+   through the trend and mean-shift detectors, so a 5%-per-PR bleed
+   that passes every per-step bound still fails here, naming the first
+   degraded commit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence
 
 from repro.perf import store
 from repro.perf.detect import Point, Verdict, run_detectors
 from repro.perf.profile import HIGHER, Metric
+from repro.perf.runner import PREFIX
 
-#: Longest-prefix tolerance policy: fraction of allowed degradation per
-#: metric family, ``None`` = informational (never gates).  These carry
-#: the tolerances the five per-job checks used to enforce.
-TOLERANCES: Tuple[Tuple[str, Optional[float]], ...] = (
-    ("msgpath.", 0.30),
-    ("interp.speedup", 0.35),
-    ("interp.", 0.30),
-    ("sharding.scaling.", 0.25),
-    ("sharding.", 0.35),
-    ("obs.", 0.10),
-    ("traffic.wall_s", None),
-    ("traffic.", 0.50),
-    ("pipeline.", None),
-    ("code.", None),
-)
+#: Families that are reported but never gate, in either pass: source
+#: size is not performance.
+REPORT_ONLY = ("code.",)
 
-#: Families that are reported but never run through the history
-#: detectors either: source size is not performance.
-REPORT_ONLY: Tuple[str, ...] = ("code.",)
-
-#: Tolerance for families not named above.
+#: Tolerance for metrics outside perfbench and ``REPORT_ONLY``.
 DEFAULT_TOLERANCE = 0.30
 
 
-def tolerance_for(metric: str) -> Optional[float]:
-    best: Optional[Tuple[str, Optional[float]]] = None
-    for prefix, tol in TOLERANCES:
-        if metric.startswith(prefix):
-            if best is None or len(prefix) > len(best[0]):
-                best = (prefix, tol)
-    return best[1] if best is not None else DEFAULT_TOLERANCE
+def tolerance_for(metric: str,
+                  bounds: Optional[Mapping[str, float]] = None
+                  ) -> Optional[float]:
+    """Allowed fractional degradation; ``None`` = informational.
+
+    ``bounds`` maps end-to-end metric names to their ``BENCHMARK.json``
+    bound and is required for ``perfbench.*`` names: a per-layer metric
+    (any name not in ``bounds``) is informational.
+    """
+    if metric.startswith(REPORT_ONLY):
+        return None
+    if metric.startswith(PREFIX):
+        if bounds is None:
+            raise ValueError(f"{metric}: perfbench metrics need the "
+                             f"BENCHMARK.json bounds")
+        return bounds.get(metric.split(".", 2)[2])
+    return DEFAULT_TOLERANCE
 
 
 @dataclass
@@ -96,14 +87,35 @@ def _bad_fraction(delta: float, direction: str) -> float:
     return -delta if direction == HIGHER else delta
 
 
+def grown_layer(name: str, current: Mapping[str, Metric],
+                baseline: Mapping[str, Metric]) -> str:
+    """Name the ``*.self_s`` sibling of ``name`` (same
+    ``perfbench.<workload>.`` prefix) with the largest relative growth
+    over the baseline: the layer to look at first when ``name`` fails.
+    ``""`` when no layer is comparable."""
+    prefix = name.rsplit(".", 1)[0] + "."
+    growth = {}
+    for layer, cur in current.items():
+        base = baseline.get(layer)
+        if (layer.startswith(prefix) and layer.endswith(".self_s")
+                and base is not None and base.value > 0):
+            growth[layer] = (cur.value - base.value) / base.value
+    if not growth:
+        return ""
+    layer = max(sorted(growth), key=growth.__getitem__)
+    return f"; layer self_s grew most: {layer} {growth[layer]:+.1%}"
+
+
 def compare_to_baseline(current: Mapping[str, Metric],
                         baseline: Mapping[str, Metric],
-                        result: GateResult) -> None:
+                        result: GateResult,
+                        bounds: Optional[Mapping[str, float]] = None
+                        ) -> None:
     """Tolerance-band comparison; appends rows/failures to ``result``."""
     for name in sorted(set(current) | set(baseline)):
         cur = current.get(name)
         base = baseline.get(name)
-        tol = tolerance_for(name)
+        tol = tolerance_for(name, bounds)
         if cur is None:
             result.rows.append(Row(name, base.unit, base.value, None,
                                    None, None, tol, "missing"))
@@ -127,7 +139,8 @@ def compare_to_baseline(current: Mapping[str, Metric],
             result.failures.append(
                 f"{name}: {cur.value:,.2f} {cur.unit} degraded "
                 f"{bad:.1%} vs baseline {base.value:,.2f} "
-                f"(tolerance {tol:.0%})")
+                f"(tolerance {tol:.0%})"
+                + grown_layer(name, current, baseline))
         elif bad < 0:
             status = "improved"
         else:
@@ -136,28 +149,15 @@ def compare_to_baseline(current: Mapping[str, Metric],
                                delta, bad, tol, status))
 
 
-def check_obs_exact(baseline_raw: Mapping[str, dict],
-                    current_raw: Mapping[str, dict],
-                    result: GateResult,
-                    tolerance: float = 0.10) -> None:
-    """Run the obs exact-diff contract when both sides carry it."""
-    ref = baseline_raw.get("obs")
-    new = current_raw.get("obs")
-    if not ref or not new:
-        return
-    from repro.obs.diff import diff_reports
-    for problem in diff_reports(ref, new, tolerance=tolerance):
-        result.failures.append(f"obs-exact: {problem}")
-
-
 def check_history(current: Mapping[str, Metric],
                   history: Sequence[store.Entry],
                   result: GateResult, *,
-                  quick: bool,
-                  current_commit: str = "worktree") -> None:
-    """Detector pass over history + the current point per metric."""
+                  quick: bool = False,
+                  current_commit: str = "worktree",
+                  bounds: Optional[Mapping[str, float]] = None) -> None:
+    """Detector pass over history + the current point per gated metric."""
     for name in sorted(current):
-        if name.startswith(REPORT_ONLY):
+        if tolerance_for(name, bounds) is None:
             continue
         metric = current[name]
         points = store.trajectory(history, name, quick=quick)
@@ -178,16 +178,12 @@ def run_gate(current: Mapping[str, Metric],
              baseline: Mapping[str, Metric],
              baseline_desc: str,
              history: Sequence[store.Entry] = (), *,
-             quick: bool = False,
-             current_commit: str = "worktree",
-             baseline_raw: Optional[Mapping[str, dict]] = None,
-             current_raw: Optional[Mapping[str, dict]] = None
-             ) -> GateResult:
+             bounds: Optional[Mapping[str, float]] = None,
+             current_commit: str = "worktree") -> GateResult:
     result = GateResult(baseline_desc=baseline_desc)
-    compare_to_baseline(current, baseline, result)
-    check_obs_exact(baseline_raw or {}, current_raw or {}, result)
-    check_history(current, history, result, quick=quick,
-                  current_commit=current_commit)
+    compare_to_baseline(current, baseline, result, bounds)
+    check_history(current, history, result,
+                  current_commit=current_commit, bounds=bounds)
     return result
 
 

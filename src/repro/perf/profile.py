@@ -1,14 +1,9 @@
-"""Versioned performance-profile schema and the shared write API.
+"""Versioned performance-profile schema.
 
-Every bench writer in the tree (``repro.bench`` pipeline timer,
-``repro.bench.msgpath``, ``repro.bench.interp``,
-``repro.bench.sharding``, ``repro.obs`` export, ``repro.traffic``)
-emits its headline numbers through :func:`write`, which merges one
-*source section* of metrics into a single profile file.  The profile is
-what ``perf_history/`` stores per commit and what the CI perf gate
-compares and runs degradation detectors over — the five divergent
-``BENCH_*.json`` formats remain on disk as migration-readable snapshots
-(see :mod:`repro.perf.snapshots`) but share this one mechanism.
+A profile holds one commit's measured metrics: what ``perf_history/``
+stores per commit and what the CI perf gate compares and runs
+degradation detectors over.  ``python -m repro.perf`` builds it from
+perfbench's numbers (:mod:`repro.perf.runner`).
 
 Schema (``repro.perf/1``)::
 
@@ -23,15 +18,15 @@ Schema (``repro.perf/1``)::
         "recorded_at": "2026-08-08T12:00:00Z"   # optional
       },
       "metrics": {
-        "msgpath.policy:hq-cfi.msgs_per_sec": {
-          "value": 454816.0,
-          "unit": "msgs/s",
-          "rounds": 3,            # best-of-N rounds behind the number
+        "perfbench.soak.work_per_s": {
+          "value": 4820.0,
+          "unit": "1/s",
+          "rounds": 1,            # best-of-N rounds behind the number
           "direction": "higher"   # which way is better
         },
         ...
       },
-      "sources": {"msgpath": {...free-form provenance...}}
+      "sources": {"perfbench": {...free-form provenance...}}
     }
 
 ``rounds`` matters: the degradation detectors scale their noise
@@ -42,7 +37,6 @@ judged more tightly than a single wall-clock sample.
 from __future__ import annotations
 
 import json
-import os
 import platform
 import subprocess
 import time
@@ -183,40 +177,3 @@ def dump(profile: Mapping[str, object], path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(profile, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def write(path: str, source: str, metrics: Mapping[str, Metric], *,
-          meta: Optional[Mapping[str, object]] = None,
-          commit: Optional[str] = None,
-          quick: Optional[bool] = None) -> Dict[str, object]:
-    """Merge one source's metrics into the profile at ``path``.
-
-    This is the one shared emission API: the profile is created (with a
-    fresh environment fingerprint) if absent, re-stamped ``quick`` when
-    the caller says so, and the source's previous metrics — the exact
-    names it registered last time, tracked under
-    ``sources[source]["metrics"]`` — are replaced wholesale so stale
-    numbers cannot linger across re-runs.
-    """
-    if os.path.exists(path):
-        profile = load(path)
-    else:
-        profile = new_profile(env=environment(commit=commit,
-                                              quick=bool(quick)))
-    if quick is not None:
-        profile["environment"]["quick"] = bool(quick)
-    if commit is not None:
-        profile["environment"]["commit"] = commit
-    sources = dict(profile.get("sources", {}))
-    previous = set(sources.get(source, {}).get("metrics", []))
-    kept = {name: entry for name, entry in profile["metrics"].items()
-            if name not in previous}
-    for name, metric in metrics.items():
-        kept[name] = metric.to_json()
-    profile["metrics"] = kept
-    record = dict(meta or {})
-    record["metrics"] = sorted(metrics)
-    sources[source] = record
-    profile["sources"] = sources
-    dump(profile, path)
-    return profile

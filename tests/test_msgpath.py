@@ -2,9 +2,12 @@
 word-native channels, bulk memory accessors, batched verifier dispatch,
 and the fail-closed handling of undecodable streams."""
 
+import json
+
 import pytest
 from array import array
 
+from repro.bench import msgpath
 from repro.cfi.hq_cfi import HQCFIPolicy
 from repro.core.messages import (
     MESSAGE_WORDS,
@@ -312,3 +315,20 @@ class TestUnregisterProcess:
     def test_unregister_unknown_pid_is_noop(self):
         verifier = Verifier(HQCFIPolicy)
         verifier.unregister_process(424242)
+
+
+class TestMsgpathCli:
+    def test_quick_smoke(self, capsys):
+        """The microbenchmark CLI runs and reports every channel and
+        policy level; whole-program throughput is perfbench's."""
+        rc = msgpath.main(["--quick", "--messages", "512", "--rounds",
+                           "1", "--out", "-", "--json"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        keys = set(report["benchmarks"])
+        assert keys == (
+            {f"channel:{p}" for p in msgpath.CHANNEL_PRIMITIVES}
+            | {f"policy:{name}" for name in msgpath._policy_factories()})
+        assert not any(key.startswith("e2e:") for key in keys)
+        assert all(entry["msgs_per_sec"] > 0
+                   for entry in report["benchmarks"].values())

@@ -4,29 +4,19 @@ The load-bearing properties:
 
 * the profile schema round-trips, migrates the pre-versioning shape,
   and rejects unknown schemas instead of silently misreading them;
-* ``profile.write`` is a merge: each source owns exactly the metric
-  names it registered last time, so re-runs replace stale numbers and
-  never clobber other sources;
 * the degradation detectors catch what the flat tolerance band cannot
   (a slow per-commit bleed, a step regression) while never flagging
   flat, noisy-but-stable, or improving trajectories;
 * the ``perf_history/`` store is append-only with in-place replacement
   per commit, filters trajectories by quick/full mode, and diffs
-  deterministically;
-* the snapshot adapters sniff every committed BENCH_*.json format.
+  deterministically.
 """
-
-import json
-import pathlib
 
 import pytest
 
-from repro.perf import detect, profile, snapshots, store
+from repro.perf import detect, profile, store
 from repro.perf.detect import Point
 from repro.perf.profile import HIGHER, LOWER, Metric, ProfileSchemaError
-
-#: Repo root: the committed BENCH_*.json snapshots live here.
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -84,44 +74,6 @@ class TestProfileSchema:
         for key in ("python", "implementation", "hostname_class",
                     "recorded_at"):
             assert env[key]
-
-
-class TestProfileWrite:
-    def test_two_sources_merge(self, tmp_path):
-        path = str(tmp_path / "pp.json")
-        profile.write(path, "alpha", {"alpha.x": Metric(1.0)})
-        profile.write(path, "beta", {"beta.y": Metric(2.0)})
-        loaded = profile.load(path)
-        assert set(loaded["metrics"]) == {"alpha.x", "beta.y"}
-        assert set(loaded["sources"]) == {"alpha", "beta"}
-
-    def test_rerun_replaces_own_metrics_only(self, tmp_path):
-        """A source's re-run drops metrics it no longer reports but
-        leaves every other source untouched."""
-        path = str(tmp_path / "pp.json")
-        profile.write(path, "alpha", {"alpha.x": Metric(1.0),
-                                      "alpha.stale": Metric(9.0)})
-        profile.write(path, "beta", {"beta.y": Metric(2.0)})
-        profile.write(path, "alpha", {"alpha.x": Metric(3.0)})
-        loaded = profile.load(path)
-        assert set(loaded["metrics"]) == {"alpha.x", "beta.y"}
-        assert profile.metrics_of(loaded)["alpha.x"].value == 3.0
-
-    def test_write_stamps_quick_and_commit(self, tmp_path):
-        path = str(tmp_path / "pp.json")
-        profile.write(path, "alpha", {"alpha.x": Metric(1.0)},
-                      commit="cafebabe", quick=True)
-        env = profile.load(path)["environment"]
-        assert env["commit"] == "cafebabe"
-        assert env["quick"] is True
-
-    def test_write_records_meta(self, tmp_path):
-        path = str(tmp_path / "pp.json")
-        profile.write(path, "alpha", {"alpha.x": Metric(1.0)},
-                      meta={"messages": 5000})
-        source = profile.load(path)["sources"]["alpha"]
-        assert source["messages"] == 5000
-        assert source["metrics"] == ["alpha.x"]
 
 
 # ---------------------------------------------------------------------------
@@ -315,50 +267,3 @@ class TestStore:
     def test_diff_lines_empty_on_equal(self):
         metrics = {"a.x": Metric(1.0)}
         assert store.diff_lines(metrics, dict(metrics)) == []
-
-
-# ---------------------------------------------------------------------------
-# Snapshot adapters
-# ---------------------------------------------------------------------------
-
-class TestSnapshots:
-    def test_committed_snapshots_sniff(self):
-        """Every committed BENCH_*.json is recognized and yields
-        metrics under its own prefix."""
-        metrics, raw = snapshots.collect_committed(str(ROOT), quick=True)
-        prefixes = {name.split(".", 1)[0] for name in metrics}
-        assert {"pipeline", "interp", "msgpath", "sharding", "obs",
-                "traffic"} <= prefixes
-        assert set(raw) == {"pipeline", "msgpath", "sharding", "obs",
-                            "traffic"}
-
-    def test_sniff_profile(self):
-        prof = profile.new_profile({"a.x": Metric(1.0)})
-        source, _ = snapshots.sniff(prof)
-        assert source == "profile"
-
-    def test_msgpath_rounds_propagate(self):
-        payload = json.load(open(ROOT / "BENCH_msgpath.json"))
-        metrics = snapshots.metrics_from_payload(payload, quick=True)
-        rates = [m for name, m in metrics.items()
-                 if name.endswith("msgs_per_sec")]
-        assert rates
-        assert all(m.rounds >= 1 for m in rates)
-        assert all(m.direction == HIGHER for m in rates)
-
-    def test_obs_metrics_are_lower_is_better(self):
-        payload = json.load(open(ROOT / "BENCH_obs.json"))
-        metrics = snapshots.metrics_from_payload(payload, quick=False)
-        assert metrics
-        assert all(name.startswith("obs.") and m.direction == LOWER
-                   for name, m in metrics.items())
-
-    def test_traffic_directions(self):
-        payload = json.load(open(ROOT / "BENCH_traffic.json"))
-        metrics = snapshots.metrics_from_payload(payload, quick=True)
-        assert metrics["traffic.completed"].direction == HIGHER
-        assert metrics["traffic.validation_lag_p99"].direction == LOWER
-
-    def test_resolve_baseline_missing(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            snapshots.resolve_baseline(str(tmp_path / "nothing.json"))
